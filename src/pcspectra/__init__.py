@@ -12,6 +12,7 @@ from .chain import (
     ChainSpec,
     SymmetryReport,
     TridiagonalMatrix,
+    as_matrix,
     build,
     check_symmetry,
     ep_residual,
@@ -67,6 +68,7 @@ __all__ = [
     "ChainSpec",
     "SymmetryReport",
     "TridiagonalMatrix",
+    "as_matrix",
     "build",
     "check_symmetry",
     "ep_residual",

@@ -27,6 +27,7 @@ __all__ = [
     "pc_delta",
     "ep_residual",
     "build",
+    "as_matrix",
     "family_a",
     "family_b",
     "family_c",
@@ -275,6 +276,11 @@ def build(spec: ChainSpec) -> TridiagonalMatrix:
     upper[k - 1] = -spec.central.delta_upper
     lower[k - 1] = -spec.central.delta_lower
     return TridiagonalMatrix(diag, upper, lower)
+
+
+def as_matrix(target: ChainSpec | TridiagonalMatrix) -> TridiagonalMatrix:
+    """The matrix of a chain given either as a ChainSpec or already built."""
+    return build(target) if isinstance(target, ChainSpec) else target
 
 
 def family_a(L: int, alpha: float, gamma: float, delta: float, beta: complex = 0j) -> ChainSpec:

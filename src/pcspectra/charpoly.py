@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, TridiagonalMatrix, build, ep_residual
+from .chain import ChainSpec, TridiagonalMatrix, as_matrix, build, ep_residual
 
 __all__ = [
     "Poly",
@@ -326,7 +326,7 @@ def verify_pc(
         residual = (pl - F * F).norm() / pl.norm()
         return VerificationResult("symbolic", float(residual), residual < tol_certify)
 
-    matrix = build(target) if isinstance(target, ChainSpec) else target
+    matrix = as_matrix(target)
     from .eig import cluster_members, eigenvalues
 
     eigs = eigenvalues(matrix)

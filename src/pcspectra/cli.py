@@ -23,8 +23,11 @@ depend on the worker count.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
+import functools
+import inspect
 import io
 import json
 import math
@@ -32,7 +35,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -44,16 +47,17 @@ from .eig import EigenvalueError, cluster_members, distinct_count, eigenvalues, 
 __all__ = ["RunConfig", "run", "preset", "main"]
 
 _STATES = ("wavepacket", "uniform-site", "uniform-eigen")
+_PRESETS = ("fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8")
 
-# Parameters each family accepts, in builder order; L is the chain length.
-_FAMILY_PARAMS = {
-    "legacy": ("L", "alpha", "gamma"),
-    "a": ("L", "alpha", "gamma", "delta", "beta"),
-    "b": ("L", "J1", "J2", "alpha", "gamma"),
-    "c": ("L", "J1", "J2", "Jc", "alpha", "gamma"),
-    "d": ("L", "gamma1", "gamma2", "gamma3"),
+# Each family's builder; its signature gives the family's parameter flags.
+_FAMILIES = {
+    "legacy": chain.legacy,
+    "a": chain.family_a,
+    "b": chain.family_b,
+    "c": chain.family_c,
+    "d": chain.family_d,
 }
-_FAMILY_OPTIONAL = {"a": ("beta",)}
+_PARAMS = sorted({k for fn in _FAMILIES.values() for k in inspect.signature(fn).parameters})
 
 
 class _CliError(Exception):
@@ -112,66 +116,41 @@ class RunConfig:
 # target construction
 
 
-def _require_params(family: str, params: dict) -> None:
-    known = _FAMILY_PARAMS.get(family)
-    if known is None:
-        raise _CliError(f"unknown family {family!r}")
-    optional = _FAMILY_OPTIONAL.get(family, ())
-    missing = [k for k in known if k not in optional and params.get(k) is None]
-    if missing:
-        flags = ", ".join("--" + k for k in missing)
-        raise _CliError(f"family {family!r} needs {flags}")
-    stray = [k for k in params if params[k] is not None and k not in known]
-    if stray:
-        flags = ", ".join("--" + k for k in stray)
-        raise _CliError(f"family {family!r} does not take {flags}")
+def _flags(names) -> str:
+    return ", ".join("--" + k for k in names)
 
 
-def _build_family(family: str, params: dict) -> chain.ChainSpec | chain.TridiagonalMatrix:
-    p = params
-    L = int(p["L"])
-    if family == "legacy":
-        return chain.legacy(L, p["alpha"], p["gamma"])
-    if family == "a":
-        beta = complex(p["beta"]) if p.get("beta") is not None else 0j
-        return chain.family_a(L, p["alpha"], p["gamma"], p["delta"], beta)
-    if family == "b":
-        return chain.family_b(L, p["J1"], p["J2"], p["alpha"], p["gamma"])
-    if family == "c":
-        return chain.family_c(L, p["J1"], p["J2"], p["Jc"], p["alpha"], p["gamma"])
-    if family == "d":
-        return chain.family_d(L, p["gamma1"], p["gamma2"], p["gamma3"])
-    raise _CliError(f"unknown family {family!r}")
+def _family_target(family: str, params: dict, sweep_param: str | None = None,
+                   value: float | None = None):
+    """The chain of one family, optionally with one parameter set to ``value``.
 
-
-def _require_sweepable(family: str, params: dict, sweep_param: str) -> None:
-    """Validate family parameters with one of them supplied by a grid."""
-    if family == "d" and sweep_param == "gamma":
-        probe = {**params, "gamma1": 1.0, "gamma2": 1.0, "gamma3": 1.0}
-    else:
-        probe = {**params, sweep_param: 1.0}
-    _require_params(family, probe)
-
-
-def _family_at(family: str, params: dict, sweep_param: str, value: float):
-    """The family target with one parameter replaced by a grid value.
-
-    For family d, sweeping "gamma" moves along the scaled direction
-    gamma1/2 = gamma3/2 = gamma2 = value, the one-parameter line on which
-    its coalescence lives.
+    The builder's signature names the family's parameters; those without a
+    default are required.  For family d, sweeping "gamma" moves along the
+    scaled direction gamma1/2 = gamma3/2 = gamma2 = value, the
+    one-parameter line on which its coalescence lives.
     """
-    p = dict(params)
-    if family == "d" and sweep_param == "gamma":
-        p["gamma1"], p["gamma2"], p["gamma3"] = 2.0 * value, value, 2.0 * value
-    elif sweep_param in _FAMILY_PARAMS[family] and sweep_param != "L":
-        p[sweep_param] = value
-    else:
-        raise _CliError(f"family {family!r} cannot sweep {sweep_param!r}")
-    return _build_family(family, p)
-
-
-def _as_matrix(target) -> chain.TridiagonalMatrix:
-    return chain.build(target) if isinstance(target, chain.ChainSpec) else target
+    builder = _FAMILIES.get(family)
+    if builder is None:
+        raise _CliError(f"unknown family {family!r}")
+    known = inspect.signature(builder).parameters
+    p = {k: v for k, v in params.items() if v is not None}
+    if sweep_param is not None:
+        if family == "d" and sweep_param == "gamma":
+            p.update(gamma1=2.0 * value, gamma2=value, gamma3=2.0 * value)
+        elif sweep_param in known and sweep_param != "L":
+            p[sweep_param] = value
+        else:
+            raise _CliError(f"family {family!r} cannot sweep {sweep_param!r}")
+    missing = [k for k, v in known.items() if v.default is v.empty and k not in p]
+    if missing:
+        raise _CliError(f"family {family!r} needs {_flags(missing)}")
+    stray = [k for k in p if k not in known]
+    if stray:
+        raise _CliError(f"family {family!r} does not take {_flags(stray)}")
+    nonfinite = [k for k, v in p.items() if not cmath.isfinite(v)]
+    if nonfinite:
+        raise _CliError(f"{_flags(nonfinite)} must be finite")
+    return builder(**p)
 
 
 def _load_spec(path: str) -> chain.ChainSpec:
@@ -182,11 +161,12 @@ def _load_spec(path: str) -> chain.ChainSpec:
         raise _CliError(f"cannot read spec file {path!r}: {exc}") from exc
 
 
-def _single_target(config: RunConfig):
+def _single_target(config: RunConfig, gamma: float | None = None):
+    """The run's spec file, or its family chain (at ``gamma``, if given)."""
     if config.spec_path is not None:
         return _load_spec(config.spec_path)
-    _require_params(config.family, config.params)
-    return _build_family(config.family, config.params)
+    return _family_target(config.family, config.params,
+                          None if gamma is None else "gamma", gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -236,65 +216,44 @@ def _json_ready(value):
     return value
 
 
-def _grid_values(grid: tuple[float, float, int]) -> np.ndarray:
-    start, stop, n = grid
-    if n == 1:
-        return np.array([start])
-    return np.linspace(start, stop, n)
-
-
 # ---------------------------------------------------------------------------
 # worker fan-out (functions must be module-level so they pickle by reference)
 
 
-def _chunks(values: np.ndarray, workers: int) -> list[np.ndarray]:
-    n = min(max(workers, 1), len(values))
-    return [c for c in np.array_split(values, n) if len(c)]
+def _map_grid(chunk_fn, config: RunConfig, values: np.ndarray) -> list:
+    """Rows of ``chunk_fn(config, chunk)`` over contiguous grid chunks, in grid order."""
+    chunks = np.array_split(values, min(config.workers, len(values)))
+    fn = functools.partial(chunk_fn, config)
+    if len(chunks) == 1:
+        parts = [fn(chunks[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(fn, chunks))
+    return [row for part in parts for row in part]
 
 
-def _fanout(fn, payloads: list, workers: int) -> list:
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-        return list(pool.map(fn, payloads))
+def _nonortho_chunk(config: RunConfig, values: np.ndarray) -> list[tuple]:
+    builder = functools.partial(_family_target, config.family, config.params, "gamma")
+    return [astuple(nonortho.sweep_point(builder, float(g), config.tol_distinct))
+            for g in values]
 
 
-def _nonortho_chunk(payload) -> list[tuple]:
-    family, params, values, tol = payload
-    rows = []
-    for g in values:
-        m = _as_matrix(_family_at(family, params, "gamma", float(g)))
-        s = spectrum(m)
-        u = nonortho.overlap_matrix(s)
-        rows.append(
-            (float(g), nonortho.f1(u), nonortho.f2(u),
-             distinct_count(s.eigenvalues, tol))
-        )
-    return rows
-
-
-def _sweep_chunk(payload) -> list[tuple]:
-    family, params, sweep_param, values, tol_certify, tol_distinct = payload
+def _sweep_chunk(config: RunConfig, values: np.ndarray) -> list[tuple]:
     rows = []
     for v in values:
-        target = _family_at(family, params, sweep_param, float(v))
-        result = verify_pc(target, tol_certify=tol_certify, tol_distinct=tol_distinct)
-        n = distinct_count(eigenvalues(_as_matrix(target)), tol_distinct)
+        target = _family_target(config.family, config.params, config.sweep_param, float(v))
+        result = verify_pc(target, tol_certify=config.tol_certify,
+                           tol_distinct=config.tol_distinct)
+        n = distinct_count(eigenvalues(chain.as_matrix(target)), config.tol_distinct)
         rows.append((float(v), n, result.certified, result.residual))
     return rows
 
 
-def _dynamics_chunk(payload) -> list[tuple]:
-    family, params, state, j0, sigma, p, t_final, dt, values = payload
+def _dynamics_chunk(config: RunConfig, values: np.ndarray) -> list[tuple]:
     result = dynamics.min_norm_gamma(
-        lambda g: _family_at(family, params, "gamma", g),
-        values,
-        kind=state.replace("-", "_"),
-        t_final=t_final,
-        dt=dt,
-        j0=j0,
-        sigma=sigma,
-        p=p,
+        functools.partial(_family_target, config.family, config.params, "gamma"),
+        values, kind=config.state.replace("-", "_"), t_final=config.t_final,
+        dt=config.dt, j0=config.j0, sigma=config.sigma, p=config.p,
     )
     return result.rows
 
@@ -304,7 +263,7 @@ def _dynamics_chunk(payload) -> list[tuple]:
 
 
 def _run_spectrum(config: RunConfig) -> dict:
-    m = _as_matrix(_single_target(config))
+    m = chain.as_matrix(_single_target(config))
     eigs = eigenvalues(m)
     groups = cluster_members(eigs, config.tol_distinct)
     # clusters numbered in canonical order of their means
@@ -345,7 +304,7 @@ def _run_verify(config: RunConfig) -> dict:
     if config.order is not None:
         summary["power_order"] = config.order
         summary["power_certified"] = verify_power(
-            _as_matrix(target), config.order, tol=config.tol_distinct
+            chain.as_matrix(target), config.order, tol=config.tol_distinct
         )
     if config.out:
         _atomic_write(
@@ -360,18 +319,9 @@ def _run_nonortho(config: RunConfig) -> dict:
     if (config.grid is None) == (config.gamma is None):
         raise _CliError("nonortho needs exactly one of --gamma-grid or --gamma")
     if config.gamma is not None:
-        if config.spec_path is not None:
-            target = _load_spec(config.spec_path)
-        else:
-            _require_sweepable(config.family, config.params, "gamma")
-            target = _family_at(config.family, config.params, "gamma", config.gamma)
-        s = spectrum(_as_matrix(target))
+        s = spectrum(chain.as_matrix(_single_target(config, config.gamma)))
         u = nonortho.overlap_matrix(s)
-        rows = [
-            (mu, nu, abs(u.entries[mu, nu]))
-            for mu in range(u.L)
-            for nu in range(u.L)
-        ]
+        rows = [(mu, nu, abs(u.entries[mu, nu])) for mu in range(u.L) for nu in range(u.L)]
         out = config.out or "nonortho.csv"
         _write_csv(out, ("mu", "nu", "abs_U"), rows)
         return {
@@ -385,15 +335,11 @@ def _run_nonortho(config: RunConfig) -> dict:
 
     if config.spec_path is not None:
         raise _CliError("gamma sweeps need --family (a spec file has no free gamma)")
-    values = _grid_values(config.grid)
+    values = np.linspace(*config.grid)
     if len(values) < 2:
         raise _CliError("--gamma-grid needs at least two points")
-    _require_sweepable(config.family, config.params, "gamma")
-    payloads = [
-        (config.family, config.params, c, config.tol_distinct)
-        for c in _chunks(values, config.workers)
-    ]
-    rows = [r for part in _fanout(_nonortho_chunk, payloads, config.workers) for r in part]
+    _single_target(config, float(values[0]))
+    rows = _map_grid(_nonortho_chunk, config, values)
     out = config.out or "nonortho.csv"
     _write_csv(out, ("gamma", "f1", "f2", "distinct_count"), rows)
     best = max(rows, key=lambda r: r[2])
@@ -414,66 +360,32 @@ def _run_dynamics(config: RunConfig) -> dict:
     if config.state not in _STATES:
         raise _CliError(f"--state must be one of {', '.join(_STATES)}")
     out = config.out or "dynamics.csv"
+    values = [config.gamma] if config.grid is None else np.linspace(*config.grid)
+    m = chain.as_matrix(_single_target(config, float(values[0])))
+    t_final = 3.0 * m.L if config.t_final is None else config.t_final
+    summary = {"command": "dynamics", "state": config.state, "t_final": t_final,
+               "out": out}
 
-    if config.gamma is not None:
-        _require_sweepable(config.family, config.params, "gamma")
-        m = _as_matrix(_family_at(config.family, config.params, "gamma", config.gamma))
-        t_final = 3.0 * m.L if config.t_final is None else config.t_final
-        psi0 = _initial_state(config, m)
+    if config.grid is None:
+        psi0 = dynamics.initial_state(config.state.replace("-", "_"), m,
+                                      config.j0, config.sigma, config.p)
         trace = dynamics.norm_trace(m, psi0, t_final, dt=config.dt)
         rows = [(config.gamma, t, n) for t, n in zip(trace.times, trace.norms)]
         n_final = float(trace.norms[-1])
         rows.append((config.gamma, "", n_final))  # summary row: gamma_star, N_min
         _write_csv(out, ("gamma", "t", "norm"), rows)
-        return {
-            "command": "dynamics",
-            "state": config.state,
-            "gamma_star": config.gamma,
-            "n_min": n_final,
-            "t_final": t_final,
-            "out": out,
-        }
+        return {**summary, "gamma_star": config.gamma, "n_min": n_final}
 
-    values = _grid_values(config.grid)
-    _require_sweepable(config.family, config.params, "gamma")
-    m0 = _as_matrix(_family_at(config.family, config.params, "gamma", float(values[0])))
-    t_final = 3.0 * m0.L if config.t_final is None else config.t_final
-    payloads = [
-        (config.family, config.params, config.state, config.j0, config.sigma,
-         config.p, t_final, config.dt, c)
-        for c in _chunks(values, config.workers)
-    ]
-    parts = _fanout(_dynamics_chunk, payloads, config.workers)
-    all_rows = [r for part in parts for r in part]
+    all_rows = _map_grid(_dynamics_chunk, replace(config, t_final=t_final), values)
     nudged = [(g, ge) for g, ge, _ in all_rows if ge != g]
     star = min(all_rows, key=lambda r: r[2])
     rows = [(g, t_final, n) for g, _, n in all_rows]
     rows.append((star[0], "", star[2]))  # summary row: gamma_star, N_min
     _write_csv(out, ("gamma", "t", "norm"), rows)
-    summary = {
-        "command": "dynamics",
-        "state": config.state,
-        "gamma_star": star[0],
-        "n_min": star[2],
-        "t_final": t_final,
-        "points": len(all_rows),
-        "out": out,
-    }
+    summary.update(gamma_star=star[0], n_min=star[2], points=len(all_rows))
     if nudged:
         summary["detuned_points"] = nudged
     return summary
-
-
-def _initial_state(config: RunConfig, m: chain.TridiagonalMatrix):
-    L = m.L
-    if config.state == "wavepacket":
-        j0 = L / 4.0 if config.j0 is None else config.j0
-        sigma = L / 8.0 if config.sigma is None else config.sigma
-        return dynamics.gaussian_packet(L, j0, sigma, config.p)
-    if config.state == "uniform-site":
-        return dynamics.uniform_site(L)
-    s = spectrum(m)
-    return dynamics.uniform_eigen(s)
 
 
 def _run_sweep(config: RunConfig) -> dict:
@@ -481,16 +393,9 @@ def _run_sweep(config: RunConfig) -> dict:
         raise _CliError("sweep needs --grid start:stop:points")
     if config.spec_path is not None:
         raise _CliError("sweep varies a family parameter and therefore needs --family")
-    values = _grid_values(config.grid)
-    if config.family is None:
-        raise _CliError("sweep needs --family")
-    _require_sweepable(config.family, config.params, config.sweep_param)
-    payloads = [
-        (config.family, config.params, config.sweep_param, c,
-         config.tol_certify, config.tol_distinct)
-        for c in _chunks(values, config.workers)
-    ]
-    rows = [r for part in _fanout(_sweep_chunk, payloads, config.workers) for r in part]
+    values = np.linspace(*config.grid)
+    _family_target(config.family, config.params, config.sweep_param, float(values[0]))
+    rows = _map_grid(_sweep_chunk, config, values)
     out = config.out or "sweep.csv"
     _write_csv(out, (config.sweep_param, "distinct_count", "certified", "residual"), rows)
     return {
@@ -509,73 +414,68 @@ def _run_sweep(config: RunConfig) -> dict:
 def preset(name: str, small: bool = False, seed: int = 0, workers: int = 1,
            out: str | None = None) -> RunConfig:
     """Config reproducing one of the reference datasets by name."""
-    known = ("fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8")
-    if name not in known:
-        raise _CliError(f"unknown preset {name!r}; choose from {', '.join(known)}")
+    if name not in _PRESETS:
+        raise _CliError(f"unknown preset {name!r}; choose from {', '.join(_PRESETS)}")
     return RunConfig(
         subcommand="preset-run", preset_name=name, small=small, seed=seed,
         workers=workers, out=out,
     )
 
 
-def _preset_dir(config: RunConfig) -> str:
-    return config.out or "."
+def _preset_runs(small: bool) -> dict:
+    """Presets made of subcommand runs: name -> (summary key, runs).
 
-
-def _run_preset(config: RunConfig) -> dict:
-    name = config.preset_name
-    outdir = _preset_dir(config)
-    os.makedirs(outdir, exist_ok=True)
-    runner = {
-        "fig1": _preset_fig1,
-        "fig2": _preset_fig2,
-        "fig4": _preset_fig4,
-        "fig5": _preset_fig5,
-        "fig6": _preset_fig6,
-        "fig7": _preset_fig7,
-        "fig8": _preset_fig8,
-    }[name]
-    summary = runner(config, outdir)
-    summary.update({"command": "preset-run", "name": name})
-    return summary
-
-
-def _sub(config: RunConfig, **overrides) -> RunConfig:
-    base = dict(
-        subcommand="", tol_distinct=config.tol_distinct,
-        tol_certify=config.tol_certify, seed=config.seed, workers=config.workers,
-    )
-    base.update(overrides)
-    return RunConfig(**base)
-
-
-def _preset_fig1(config: RunConfig, outdir: str) -> dict:
-    jobs = [
-        ("gamma_1.5", dict(L=10, alpha=0.0, gamma=1.5)),
-        ("gamma_2", dict(L=10, alpha=0.0, gamma=2.0)),
-        ("gamma_2.5", dict(L=10, alpha=0.0, gamma=2.5)),
-        ("alpha_-1_gamma_1", dict(L=10, alpha=-1.0, gamma=1.0)),
-    ]
-    files, counts = [], {}
-    for tag, params in jobs:
-        out = os.path.join(outdir, f"fig1_spectrum_{tag}.csv")
-        summary = _run_spectrum(_sub(config, subcommand="spectrum",
-                                     family="legacy", params=params, out=out))
-        files.append(out)
-        counts[tag] = summary["distinct"]
-    return {"files": files, "distinct": counts}
+    Each run is (summary label, file name, RunConfig overrides).  The
+    preset summary maps each label to the value under the key in that
+    run's own summary.
+    """
+    b = dict(J1=1.0, J2=1.5, alpha=0.0)
+    return {
+        "fig1": ("distinct", [
+            (tag, f"fig1_spectrum_{tag}.csv",
+             dict(subcommand="spectrum", family="legacy",
+                  params=dict(L=10, alpha=alpha, gamma=gamma)))
+            for tag, alpha, gamma in (("gamma_1.5", 0.0, 1.5), ("gamma_2", 0.0, 2.0),
+                                      ("gamma_2.5", 0.0, 2.5),
+                                      ("alpha_-1_gamma_1", -1.0, 1.0))
+        ]),
+        "fig5": (None, [
+            (None, f"fig5_gamma_{gamma:g}.csv",
+             dict(subcommand="nonortho", family="b",
+                  params=dict(L=10, J1=1.5, J2=1.0, alpha=0.0), gamma=gamma))
+            for gamma in (1.0, 3.0, 50.0)
+        ]),
+        "fig6": ("argmax_f2", [
+            (fname, fname,
+             dict(subcommand="nonortho", family=family, params=params, grid=grid))
+            for fname, family, params, grid in (
+                ("fig6a.csv", "a", dict(L=30, alpha=0.0, delta=0.5), (0.05, 3.0, 101)),
+                ("fig6b_L12.csv", "b", dict(L=12, **b), (0.5, 6.0, 101)),
+                ("fig6b_L14.csv", "b", dict(L=14, **b), (0.5, 6.0, 101)),
+                ("fig6c.csv", "c", dict(L=30, J1=1.5, J2=1.5, Jc=1.0, alpha=0.0),
+                 (0.5, 4.0, 101)),
+                ("fig6d.csv", "d", dict(L=20), (0.3, 2.5, 101)),
+            )
+        ]),
+        "fig8": ("gamma_star", [
+            (f"L{L}_{state}", f"fig8_L{L}_{state.replace('-', '_')}.csv",
+             dict(subcommand="dynamics", family="b", params=dict(L=L, **b),
+                  grid=(0.5, 6.0, 56), state=state))
+            for L in ((24, 26) if small else (104, 106))
+            for state in _STATES
+        ]),
+    }
 
 
 def _preset_fig2(config: RunConfig, outdir: str) -> dict:
     rows = []
     certified = {}
+    delta = chain.pc_delta(-1.2, 1.0)
     for gamma in (1.0, 1.3):
         n_ok = 0
         for i in range(100):
             seed = config.seed + i
-            central = chain.CentralBlock(
-                -1.2, gamma, chain.pc_delta(-1.2, 1.0), chain.pc_delta(-1.2, 1.0)
-            )
+            central = chain.CentralBlock(-1.2, gamma, delta, delta)
             spec = chain.random_spec(5, seed, 1.0, central)
             result = verify_pc(spec, tol_certify=config.tol_certify,
                                tol_distinct=config.tol_distinct)
@@ -589,84 +489,51 @@ def _preset_fig2(config: RunConfig, outdir: str) -> dict:
 
 
 def _preset_fig4(config: RunConfig, outdir: str) -> dict:
-    grid = np.linspace(0.5, 2.5, 21)
+    base = dict(J1=1.0, J2=1.0, alpha=0.0, gamma=2.0)
     files = []
-    rows_a = []
-    for L in (12, 16, 20, 22):
-        for J1 in grid:
-            m = chain.build(chain.family_b(L, float(J1), 1.0, 0.0, 2.0))
-            rows_a.append((L, float(J1), distinct_count(eigenvalues(m), config.tol_distinct)))
-    out_a = os.path.join(outdir, "fig4a.csv")
-    _write_csv(out_a, ("L", "J1", "distinct_count"), rows_a)
-    files.append(out_a)
-    rows_b = []
-    for L in (14, 18, 20, 22):
-        for J2 in grid:
-            m = chain.build(chain.family_b(L, 1.0, float(J2), 0.0, 2.0))
-            rows_b.append((L, float(J2), distinct_count(eigenvalues(m), config.tol_distinct)))
-    out_b = os.path.join(outdir, "fig4b.csv")
-    _write_csv(out_b, ("L", "J2", "distinct_count"), rows_b)
-    files.append(out_b)
+    for fname, param, sizes in (("fig4a.csv", "J1", (12, 16, 20, 22)),
+                                ("fig4b.csv", "J2", (14, 18, 20, 22))):
+        rows = []
+        for L in sizes:
+            for x in np.linspace(0.5, 2.5, 21):
+                m = chain.build(chain.family_b(L, **{**base, param: float(x)}))
+                rows.append((L, float(x), distinct_count(eigenvalues(m), config.tol_distinct)))
+        files.append(os.path.join(outdir, fname))
+        _write_csv(files[-1], ("L", param, "distinct_count"), rows)
     return {"files": files}
-
-
-def _preset_fig5(config: RunConfig, outdir: str) -> dict:
-    files = []
-    for gamma in (1.0, 3.0, 50.0):
-        out = os.path.join(outdir, f"fig5_gamma_{gamma:g}.csv")
-        _run_nonortho(_sub(config, subcommand="nonortho", family="b",
-                           params=dict(L=10, J1=1.5, J2=1.0, alpha=0.0),
-                           gamma=gamma, out=out))
-        files.append(out)
-    return {"files": files}
-
-
-def _preset_fig6(config: RunConfig, outdir: str) -> dict:
-    panels = [
-        ("fig6a.csv", "a", dict(L=30, alpha=0.0, delta=0.5), (0.05, 3.0, 101)),
-        ("fig6b_L12.csv", "b", dict(L=12, J1=1.0, J2=1.5, alpha=0.0), (0.5, 6.0, 101)),
-        ("fig6b_L14.csv", "b", dict(L=14, J1=1.0, J2=1.5, alpha=0.0), (0.5, 6.0, 101)),
-        ("fig6c.csv", "c", dict(L=30, J1=1.5, J2=1.5, Jc=1.0, alpha=0.0), (0.5, 4.0, 101)),
-        ("fig6d.csv", "d", dict(L=20), (0.3, 2.5, 101)),
-    ]
-    files, argmax = [], {}
-    for fname, family, params, grid in panels:
-        out = os.path.join(outdir, fname)
-        summary = _run_nonortho(_sub(config, subcommand="nonortho", family=family,
-                                     params=params, grid=grid, out=out))
-        files.append(out)
-        argmax[fname] = summary["argmax_f2"]
-    return {"files": files, "argmax_f2": argmax}
 
 
 def _preset_fig7(config: RunConfig, outdir: str) -> dict:
-    grid = np.linspace(0.8, 1.2, 41)
     rows = []
-    for g in grid:
-        m = chain.family_d(12, 2.0 * float(g), float(g), 2.0 * float(g))
-        eigs = eigenvalues(m)
-        rows.extend(
-            (float(g), i, eigs[i].real, eigs[i].imag) for i in range(len(eigs))
-        )
+    for g in np.linspace(0.8, 1.2, 41):
+        eigs = eigenvalues(chain.family_d(12, 2.0 * g, g, 2.0 * g))
+        rows.extend((float(g), i, z.real, z.imag) for i, z in enumerate(eigs))
     out = os.path.join(outdir, "fig7_trajectories.csv")
     _write_csv(out, ("gamma", "index", "re_lambda", "im_lambda"), rows)
     return {"files": [out]}
 
 
-def _preset_fig8(config: RunConfig, outdir: str) -> dict:
-    sizes = (24, 26) if config.small else (104, 106)
-    files, stars = [], {}
-    for L in sizes:
-        for state in _STATES:
-            out = os.path.join(outdir, f"fig8_L{L}_{state.replace('-', '_')}.csv")
-            summary = _run_dynamics(
-                _sub(config, subcommand="dynamics", family="b",
-                     params=dict(L=L, J1=1.0, J2=1.5, alpha=0.0),
-                     grid=(0.5, 6.0, 56), state=state, out=out)
-            )
-            files.append(out)
-            stars[f"L{L}_{state}"] = summary["gamma_star"]
-    return {"files": files, "gamma_star": stars, "small": config.small}
+def _run_preset(config: RunConfig) -> dict:
+    name = config.preset_name
+    outdir = config.out or "."
+    os.makedirs(outdir, exist_ok=True)
+    runs = _preset_runs(config.small).get(name)
+    if runs is None:
+        summary = {"fig2": _preset_fig2, "fig4": _preset_fig4,
+                   "fig7": _preset_fig7}[name](config, outdir)
+    else:
+        key, jobs = runs
+        files, values = [], {}
+        for label, fname, overrides in jobs:
+            files.append(os.path.join(outdir, fname))
+            result = run(replace(config, preset_name=None, out=files[-1], **overrides))
+            if key is not None:
+                values[label] = result[key]
+        summary = {"files": files, key: values} if key is not None else {"files": files}
+        if name == "fig8":
+            summary["small"] = config.small
+    summary.update({"command": "preset-run", "name": name})
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -675,18 +542,18 @@ def _preset_fig8(config: RunConfig, outdir: str) -> dict:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (preset-run: output directory)")
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--seed", type=int, help="base RNG seed")
+    parser.add_argument("--workers", type=int,
                         help="process-pool size for sweeps "
                              "(PC_SPECTRA_WORKERS overrides)")
-    parser.add_argument("--tol-distinct", type=float, default=1e-5,
+    parser.add_argument("--tol-distinct", type=float,
                         help="clustering tolerance for distinct eigenvalues")
-    parser.add_argument("--tol-certify", type=float, default=1e-8,
+    parser.add_argument("--tol-certify", type=float,
                         help="residual tolerance for certification")
 
 
 def _add_family(parser: argparse.ArgumentParser, with_spec: bool = True) -> None:
-    parser.add_argument("--family", choices=sorted(_FAMILY_PARAMS),
+    parser.add_argument("--family", choices=sorted(_FAMILIES),
                         help="chain family to build")
     if with_spec:
         parser.add_argument("--spec", dest="spec_path",
@@ -714,6 +581,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError("grid endpoints must be finite")
     if n < 1:
         raise argparse.ArgumentTypeError("grid needs at least one point")
     return (start, stop, n)
@@ -745,27 +614,23 @@ def _build_parser() -> _Parser:
     _add_family(dp, with_spec=False)
     dp.add_argument("--gamma-grid", type=_parse_grid, dest="grid",
                     help="start:stop:points scan over gamma")
-    dp.add_argument("--state", choices=_STATES, default="wavepacket",
-                    help="initial state kind")
+    dp.add_argument("--state", choices=_STATES, help="initial state kind")
     dp.add_argument("--j0", type=float, help="wavepacket center (default L/4)")
     dp.add_argument("--sigma", type=float, help="wavepacket width (default L/8)")
-    dp.add_argument("--p", type=float, default=math.pi / 4.0,
-                    help="wavepacket momentum (default pi/4)")
+    dp.add_argument("--p", type=float, help="wavepacket momentum (default pi/4)")
     dp.add_argument("--t-final", type=float, help="evolution time (default 3L)")
-    dp.add_argument("--dt", type=float, default=0.01, help="integrator step")
+    dp.add_argument("--dt", type=float, help="integrator step")
     _add_common(dp)
 
     wp = sub.add_parser("sweep", help="distinct-count scan over one family parameter")
     _add_family(wp, with_spec=False)
-    wp.add_argument("--sweep-param", default="gamma",
-                    help="family parameter to sweep (default gamma)")
+    wp.add_argument("--sweep-param", help="family parameter to sweep (default gamma)")
     wp.add_argument("--grid", type=_parse_grid, required=True,
                     help="start:stop:points")
     _add_common(wp)
 
     pp = sub.add_parser("preset-run", help="regenerate a reference dataset")
-    pp.add_argument("--name", required=True,
-                    choices=("fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8"))
+    pp.add_argument("--name", dest="preset_name", required=True, choices=_PRESETS)
     pp.add_argument("--small", action="store_true",
                     help="reduced sizes for fast CI (fig8: L=24/26)")
     _add_common(pp)
@@ -774,53 +639,19 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    family = getattr(args, "family", None)
-    # Which parameter a grid supplies (and so must not be fixed from a flag).
+    # flags left unset take the RunConfig defaults
+    fields = {k: v for k, v in vars(args).items() if v is not None}
+    if "PC_SPECTRA_WORKERS" in os.environ:
+        fields["workers"] = int(os.environ["PC_SPECTRA_WORKERS"])
+    # Every family flag given, not just the selected family's, so strays like
+    # --J1 with family legacy are rejected downstream.  The parameter a grid
+    # supplies is not a fixed family parameter.
+    params = {k: fields.pop(k) for k in _PARAMS if k in fields}
     if args.subcommand == "sweep":
-        swept = getattr(args, "sweep_param", "gamma")
-    elif args.subcommand in ("nonortho", "dynamics"):
-        swept = "gamma"
-    else:
-        swept = None
-    params = {}
-    if family is not None:
-        # collect every parameter flag given, not just the selected family's,
-        # so strays like --J1 with family legacy are rejected downstream
-        for key in sorted({k for keys in _FAMILY_PARAMS.values() for k in keys}):
-            value = getattr(args, key, None)
-            if key == swept:
-                continue
-            if value is not None:
-                params[key] = value
-    gamma = getattr(args, "gamma", None) if swept == "gamma" else None
-    workers = int(os.environ.get("PC_SPECTRA_WORKERS", args.workers))
-    if args.subcommand == "preset-run":
-        return RunConfig(
-            subcommand="preset-run", preset_name=args.name, small=args.small,
-            tol_distinct=args.tol_distinct, tol_certify=args.tol_certify,
-            out=args.out, seed=args.seed, workers=workers,
-        )
-    return RunConfig(
-        subcommand=args.subcommand,
-        family=family,
-        params=params,
-        spec_path=getattr(args, "spec_path", None),
-        grid=getattr(args, "grid", None),
-        sweep_param=getattr(args, "sweep_param", "gamma"),
-        gamma=gamma,
-        state=getattr(args, "state", "wavepacket"),
-        j0=getattr(args, "j0", None),
-        sigma=getattr(args, "sigma", None),
-        p=getattr(args, "p", math.pi / 4.0),
-        t_final=getattr(args, "t_final", None),
-        dt=getattr(args, "dt", 0.01),
-        order=getattr(args, "order", None),
-        tol_distinct=args.tol_distinct,
-        tol_certify=args.tol_certify,
-        out=args.out,
-        seed=args.seed,
-        workers=workers,
-    )
+        params.pop(fields.get("sweep_param", "gamma"), None)
+    elif args.subcommand in ("nonortho", "dynamics") and "gamma" in params:
+        fields["gamma"] = params.pop("gamma")
+    return RunConfig(params=params, **fields)
 
 
 def run(config: RunConfig) -> dict:
@@ -841,13 +672,8 @@ def run(config: RunConfig) -> dict:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        summary = run(config)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+        summary = run(_config_from_args(parser.parse_args(argv)))
+    except (_CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EigenvalueError, ArithmeticError, RuntimeError) as exc:

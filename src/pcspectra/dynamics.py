@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, TridiagonalMatrix, build
+from .chain import ChainSpec, TridiagonalMatrix, as_matrix
 from .eig import Spectrum, spectrum
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "gaussian_packet",
     "uniform_site",
     "uniform_eigen",
+    "initial_state",
     "evolve",
     "norm_trace",
     "approx_norm",
@@ -122,6 +123,31 @@ def uniform_eigen(s: Spectrum) -> StateVector:
         )
     amps = s.eigenvectors.sum(axis=1)
     return StateVector(amps / np.linalg.norm(amps))
+
+
+def initial_state(
+    kind: str,
+    m: TridiagonalMatrix,
+    j0: float | None = None,
+    sigma: float | None = None,
+    p: float = math.pi / 4.0,
+) -> StateVector:
+    """Initial state of one kind on the chain m.
+
+    ``kind`` is "wavepacket" (Gaussian, defaults j0=L/4, sigma=L/8,
+    p=pi/4), "uniform_site", or "uniform_eigen" (raises ValueError where
+    the eigenbasis of m is numerically defective).
+    """
+    L = m.L
+    if kind == "wavepacket":
+        return gaussian_packet(
+            L, L / 4.0 if j0 is None else j0, L / 8.0 if sigma is None else sigma, p
+        )
+    if kind == "uniform_site":
+        return uniform_site(L)
+    if kind == "uniform_eigen":
+        return uniform_eigen(spectrum(m))
+    raise ValueError(f"unknown initial-state kind: {kind!r}")
 
 
 def _is_absorbing(d: np.ndarray, u: np.ndarray, low: np.ndarray) -> bool:
@@ -232,6 +258,8 @@ def norm_trace(
         raise ValueError(f"state has {len(psi)} sites, matrix has {m.L}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("initial state must have unit norm")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     absorbing = _is_absorbing(m.diag, m.upper, m.lower)
@@ -269,10 +297,6 @@ def approx_norm(s: Spectrum, psi0: StateVector | np.ndarray, t: float) -> float:
     return float(np.sqrt(weights.sum()))
 
 
-def _as_matrix(target: ChainSpec | TridiagonalMatrix) -> TridiagonalMatrix:
-    return build(target) if isinstance(target, ChainSpec) else target
-
-
 def min_norm_gamma(
     builder: Callable[[float], ChainSpec | TridiagonalMatrix],
     gamma_grid: Sequence[float],
@@ -285,9 +309,9 @@ def min_norm_gamma(
 ) -> MinNormResult:
     """Locate the grid value whose survival norm at t_final is smallest.
 
-    ``builder`` maps a grid value to a chain; ``kind`` selects the initial
-    state: "wavepacket" (Gaussian, defaults j0=L/4, sigma=L/8, p=pi/4),
-    "uniform_site", or "uniform_eigen".  t_final defaults to 3 L.
+    ``builder`` maps a grid value to a chain; ``kind``, ``j0``, ``sigma``
+    and ``p`` select the initial state as in ``initial_state``.  t_final
+    defaults to 3 L.
 
     For "uniform_eigen" the state is built from the eigenbasis at each
     grid value; where that basis is numerically defective (a coalescence
@@ -303,7 +327,7 @@ def min_norm_gamma(
     if kind not in ("wavepacket", "uniform_site", "uniform_eigen"):
         raise ValueError(f"unknown initial-state kind: {kind!r}")
 
-    mats = [_as_matrix(builder(g)) for g in grid]
+    mats = [as_matrix(builder(g)) for g in grid]
     L = mats[0].L
     if any(m.L != L for m in mats):
         raise ValueError("builder produced chains of different sizes")
@@ -311,21 +335,15 @@ def min_norm_gamma(
         t_final = 3.0 * L
 
     effective = list(grid)
-    if kind == "wavepacket":
-        shared = gaussian_packet(
-            L, L / 4.0 if j0 is None else j0, L / 8.0 if sigma is None else sigma, p
-        ).amplitudes
-        states = [shared] * len(grid)
-    elif kind == "uniform_site":
-        shared = uniform_site(L).amplitudes
-        states = [shared] * len(grid)
+    if kind != "uniform_eigen":
+        states = [initial_state(kind, mats[0], j0, sigma, p).amplitudes] * len(grid)
     else:
         states = []
         for i, g in enumerate(grid):
             s = spectrum(mats[i])
             if s.min_basis_singular_value() < _DEFECTIVE_SV:
                 effective[i] = g + _DEFECTIVE_NUDGE
-                mats[i] = _as_matrix(builder(effective[i]))
+                mats[i] = as_matrix(builder(effective[i]))
                 s = spectrum(mats[i])
             states.append(uniform_eigen(s).amplitudes)
 

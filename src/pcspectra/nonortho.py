@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, TridiagonalMatrix, build
+from .chain import ChainSpec, TridiagonalMatrix, as_matrix
 from .eig import Spectrum, distinct_count, spectrum
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "overlap_matrix",
     "f1",
     "f2",
+    "sweep_point",
     "sweep_nonortho",
 ]
 
@@ -96,6 +97,17 @@ class SweepPoint:
     distinct: int
 
 
+def sweep_point(
+    builder: Callable[[float], ChainSpec | TridiagonalMatrix],
+    gamma: float,
+    tol_distinct: float = 1e-5,
+) -> SweepPoint:
+    """f1, f2, and the distinct-eigenvalue count of the chain ``builder(gamma)``."""
+    s = spectrum(as_matrix(builder(gamma)))
+    u = overlap_matrix(s)
+    return SweepPoint(gamma, f1(u), f2(u), distinct_count(s.eigenvalues, tol_distinct))
+
+
 def sweep_nonortho(
     builder: Callable[[float], ChainSpec | TridiagonalMatrix],
     gamma_grid: Sequence[float],
@@ -110,13 +122,4 @@ def sweep_nonortho(
     grid = [float(g) for g in gamma_grid]
     if len(grid) < 2:
         raise ValueError("gamma_grid must contain at least two points")
-    points = []
-    for g in grid:
-        target = builder(g)
-        m = build(target) if isinstance(target, ChainSpec) else target
-        s = spectrum(m)
-        u = overlap_matrix(s)
-        points.append(
-            SweepPoint(g, f1(u), f2(u), distinct_count(s.eigenvalues, tol_distinct))
-        )
-    return points
+    return [sweep_point(builder, g, tol_distinct) for g in grid]

@@ -3,7 +3,7 @@
 One test (or test group, where sub-claims diverge) per acceptance item,
 each pinned to independently computed reference values and run at the
 stated tolerance.  Known-unattainable claims are marked strict xfail and
-documented in /root/notes/decisions.md; everything else must pass.
+documented in docs/decisions.md; everything else must pass.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from scipy.linalg import expm
 from pcspectra.chain import (
     CentralBlock,
     TridiagonalMatrix,
+    as_matrix,
     build,
     family_a,
     family_b,
@@ -45,8 +46,7 @@ from pcspectra.nonortho import f1, f2, overlap_matrix
 
 
 def counts(target, tol=1e-5):
-    m = build(target) if not isinstance(target, TridiagonalMatrix) else target
-    return distinct_count(eigenvalues(m), tol=tol)
+    return distinct_count(eigenvalues(as_matrix(target)), tol=tol)
 
 
 def test_a01_uniform_loss_chain_pairing_counts():
@@ -162,16 +162,12 @@ def test_a06_pair_overlaps_at_coalescence():
 @pytest.mark.xfail(
     strict=True,
     reason="strong-coupling off-diagonal overlap bound 0.05 is unattainable: "
-    "the measured maximum is 0.0579; see /root/notes/decisions.md "
+    "the measured maximum is 0.0579; see docs/decisions.md "
     "('Strong-coupling overlap bound').",
 )
 def test_a06_strong_coupling_overlap_bound():
     u = overlap_matrix(spectrum(build(family_b(10, 1.5, 1.0, 0.0, 50.0))))
     assert u.max_offdiag() < 0.05
-
-
-def build_any(target):
-    return target if isinstance(target, TridiagonalMatrix) else build(target)
 
 
 def test_a07_nonorthogonality_peak_locates_coalescence():
@@ -187,7 +183,7 @@ def test_a07_nonorthogonality_peak_locates_coalescence():
         step = float(grid[1] - grid[0])
         vals_f1, vals_f2 = [], []
         for g in grid:
-            u = overlap_matrix(spectrum(build_any(builder(float(g)))))
+            u = overlap_matrix(spectrum(as_matrix(builder(float(g)))))
             vals_f1.append(f1(u))
             vals_f2.append(f2(u))
         star = float(grid[int(np.argmax(vals_f2))])
@@ -210,7 +206,7 @@ def test_a08_quadruple_coalescence_point():
 @pytest.mark.xfail(
     strict=True,
     reason="the detuned scaled chain keeps its pairwise coalescence, so 6 "
-    "distinct values remain, not 12; see /root/notes/decisions.md "
+    "distinct values remain, not 12; see docs/decisions.md "
     "('Detuned scaled-chain count').",
 )
 def test_a08_detuned_scaled_chain_fully_splits():
@@ -238,7 +234,7 @@ def test_a09_survival_norm_minimum_near_coalescence():
     strict=True,
     reason="the uniform-site state decays monotonically more slowly as the "
     "loss grows past threshold on these lengths, so the argmin sits at the "
-    "grid edge; see /root/notes/decisions.md ('Uniform-site minimum').",
+    "grid edge; see docs/decisions.md ('Uniform-site minimum').",
 )
 def test_a09_uniform_site_minimum_small_even():
     assert abs(small_sweep_argmin(24, "uniform_site") - 3.0) <= 0.45
@@ -247,7 +243,7 @@ def test_a09_uniform_site_minimum_small_even():
 @pytest.mark.xfail(
     strict=True,
     reason="the uniform-site state has no interior minimum at this length "
-    "either; see /root/notes/decisions.md ('Uniform-site minimum').",
+    "either; see docs/decisions.md ('Uniform-site minimum').",
 )
 def test_a09_uniform_site_minimum_small_odd_pairing():
     assert abs(small_sweep_argmin(26, "uniform_site") - 2.0) <= 0.3
@@ -257,7 +253,7 @@ def test_a09_uniform_site_minimum_small_odd_pairing():
     strict=True,
     reason="with the pinned first-component-positive eigenvector phase the "
     "equal-weight eigenvector state lands at 2.6, outside the 0.3 window; "
-    "see /root/notes/decisions.md ('Eigenvector-sum state at L=26').",
+    "see docs/decisions.md ('Eigenvector-sum state at L=26').",
 )
 def test_a09_uniform_eigen_minimum_small_odd_pairing():
     assert abs(small_sweep_argmin(26, "uniform_eigen") - 2.0) <= 0.3

@@ -73,6 +73,21 @@ def test_invalid_usage_exits_one(tmp_path, capsys):
         ["nonortho", "--family", "b", "--L", "10", "--J1", "1.5", "--J2", "1",
          "--alpha", "0", "--gamma", "3", "--gamma-grid", "1:2:3"],  # both
         ["preset-run", "--name", "fig99"],  # unknown preset
+        ["sweep", "--family", "legacy", "--L", "6", "--alpha", "0", "--gamma", "1",
+         "--sweep-param", "L", "--grid", "1:2:3"],  # L is not sweepable
+        # non-finite family parameters and grid endpoints
+        ["dynamics", "--family", "b", "--L", "12", "--J1", "1", "--J2", "1.5",
+         "--alpha", "0", "--gamma", "nan"],
+        ["spectrum", "--family", "legacy", "--L", "10", "--alpha", "0", "--gamma", "inf"],
+        ["verify", "--family", "legacy", "--L", "10", "--alpha", "0", "--gamma", "nan"],
+        ["sweep", "--family", "legacy", "--L", "10", "--alpha", "nan", "--grid", "1:3:3"],
+        ["nonortho", "--family", "b", "--L", "10", "--J1", "1.5", "--J2", "1",
+         "--alpha", "0", "--gamma-grid", "1:nan:3"],
+        # non-positive integrator step on a single-gamma trace
+        ["dynamics", "--family", "b", "--L", "12", "--J1", "1", "--J2", "1.5",
+         "--alpha", "0", "--gamma", "3", "--dt", "-0.01"],
+        ["dynamics", "--family", "b", "--L", "12", "--J1", "1", "--J2", "1.5",
+         "--alpha", "0", "--gamma", "3", "--dt", "0"],
     ]
     for argv in bad_argvs:
         assert cli.main(argv) == 1, argv
@@ -263,3 +278,29 @@ def test_preset_run_writes_dataset(tmp_path, capsys):
     written = sorted(p.name for p in tmp_path.iterdir())
     assert len(written) == 4
     assert all(name.startswith("fig1_spectrum_") for name in written)
+    assert summary["distinct"] == {
+        "gamma_1.5": 10, "gamma_2": 5, "gamma_2.5": 10, "alpha_-1_gamma_1": 5,
+    }
+
+
+@pytest.mark.parametrize("name, headers, keys", [
+    ("fig2", {"fig2_certificates.csv":
+              ["seed", "gamma", "mode", "residual", "certified", "distinct"]},
+     {"certified"}),
+    ("fig4", {"fig4a.csv": ["L", "J1", "distinct_count"],
+              "fig4b.csv": ["L", "J2", "distinct_count"]}, set()),
+    ("fig5", {f"fig5_gamma_{g}.csv": ["mu", "nu", "abs_U"] for g in ("1", "3", "50")},
+     set()),
+    ("fig7", {"fig7_trajectories.csv": ["gamma", "index", "re_lambda", "im_lambda"]},
+     set()),
+], ids=["fig2", "fig4", "fig5", "fig7"])
+def test_preset_files_headers_and_summary(tmp_path, capsys, name, headers, keys):
+    code, summary = run_cli(capsys, ["preset-run", "--name", name, "--out", str(tmp_path)])
+    assert code == 0
+    assert set(summary) == {"command", "name", "files"} | keys
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(headers)
+    assert summary["files"] == [str(tmp_path / f) for f in headers]
+    for fname, header in headers.items():
+        assert read_csv(tmp_path / fname)[0] == header
+    if name == "fig2":
+        assert summary["certified"] == {"1.0": 100, "1.3": 0}

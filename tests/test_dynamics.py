@@ -145,6 +145,13 @@ def test_norm_trace_requires_unit_state():
         norm_trace(m, np.ones(4, dtype=complex), 1.0)
 
 
+def test_norm_trace_rejects_nonpositive_dt():
+    m = build(legacy(4, 0.0, 1.0))
+    for dt in (0.0, -0.01):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            norm_trace(m, uniform_site(4), 1.0, dt=dt)
+
+
 def test_decay_pairing_inequality():
     # 2 e^{-x} <= e^{-x-d} + e^{-x+d}: splitting a decay rate never helps
     rng = np.random.default_rng(12)
