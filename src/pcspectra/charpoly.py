@@ -25,150 +25,70 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .chain import ChainSpec, TridiagonalMatrix, as_matrix, build, ep_residual
 
 __all__ = [
-    "Poly",
-    "PolyPair",
-    "TransferMatrix",
-    "VerificationResult",
-    "poly_add",
-    "poly_sub",
-    "poly_mul",
-    "poly_scale",
-    "poly_eval",
-    "principal_minors",
-    "transfer_T",
-    "transfer_A",
-    "verify_at_relation",
-    "square_factor",
-    "verify_pc",
-    "verify_power",
-    "charpoly_oracle",
+    "Poly", "VerificationResult", "principal_minors", "transfer_T", "transfer_A",
+    "verify_at_relation", "square_factor", "verify_pc", "verify_power", "charpoly_oracle",
 ]
-
-_TRIM_REL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
 class Poly:
     """Dense complex polynomial, coefficients in ascending powers.
 
-    Trailing coefficients smaller than 1e-14 times the largest coefficient
-    magnitude are trimmed on construction, so the leading coefficient of a
-    nonzero polynomial is always significant.
+    Every coefficient is kept, zeros included: the minor P_n always has
+    n + 1 coefficients and an exact leading 1.0, whatever the chain's scale.
     """
 
     coeffs: np.ndarray
 
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__ instead of broadcasting
+
     def __post_init__(self) -> None:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        if c.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        mags = np.abs(c)
-        top = mags.max() if len(c) else 0.0
-        if top == 0.0:
-            c = np.zeros(1, dtype=complex)
-        else:
-            keep = np.nonzero(mags > _TRIM_REL * top)[0]
-            c = c[: keep[-1] + 1]
+        if c.ndim != 1 or len(c) == 0:
+            raise ValueError("coefficients must be a non-empty 1-D array")
         object.__setattr__(self, "coeffs", c)
 
     @property
     def degree(self) -> int:
-        """Degree of the polynomial; 0 for the zero polynomial."""
+        """Length of the coefficient array minus one."""
         return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
+        return not self.coeffs.any()
 
     def norm(self) -> float:
         """Largest coefficient magnitude."""
         return float(np.abs(self.coeffs).max())
 
-    def __add__(self, other: "Poly") -> "Poly":
-        return poly_add(self, other)
+    def __add__(self, other: Poly) -> Poly:
+        out = np.zeros(max(len(self.coeffs), len(other.coeffs)), dtype=complex)
+        out[: len(self.coeffs)] += self.coeffs
+        out[: len(other.coeffs)] += other.coeffs
+        return Poly(out)
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return poly_sub(self, other)
+    def __sub__(self, other: Poly) -> Poly:
+        return self + -1.0 * other
 
-    def __mul__(self, other: "Poly") -> "Poly":
-        return poly_mul(self, other)
+    def __mul__(self, other: Poly | complex) -> Poly:
+        if isinstance(other, Poly):
+            return Poly(np.convolve(self.coeffs, other.coeffs))
+        return Poly(self.coeffs * complex(other))
+
+    __rmul__ = __mul__
 
     def __call__(self, z: complex) -> complex:
-        return poly_eval(self, z)
+        return complex(np.polyval(self.coeffs[::-1], z))
 
     def __repr__(self) -> str:
         return f"Poly(deg={self.degree})"
-
-
-ONE = Poly(np.array([1.0 + 0j]))
-ZERO = Poly(np.array([0.0 + 0j]))
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p.coeffs), len(q.coeffs))
-    out = np.zeros(n, dtype=complex)
-    out[: len(p.coeffs)] += p.coeffs
-    out[: len(q.coeffs)] += q.coeffs
-    return Poly(out)
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    n = max(len(p.coeffs), len(q.coeffs))
-    out = np.zeros(n, dtype=complex)
-    out[: len(p.coeffs)] += p.coeffs
-    out[: len(q.coeffs)] -= q.coeffs
-    return Poly(out)
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return Poly(np.convolve(p.coeffs, q.coeffs))
-
-
-def poly_scale(p: Poly, s: complex) -> Poly:
-    return Poly(p.coeffs * complex(s))
-
-
-def poly_eval(p: Poly, z: complex) -> complex:
-    """Evaluate by Horner's rule."""
-    acc = 0j
-    for c in p.coeffs[::-1]:
-        acc = acc * z + c
-    return complex(acc)
-
-
-@dataclass(frozen=True)
-class PolyPair:
-    """Two consecutive minors (P_n, P_{n-1}) as propagated by the recurrence."""
-
-    hi: Poly
-    lo: Poly
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """A 2x2 matrix with polynomial entries."""
-
-    m11: Poly
-    m12: Poly
-    m21: Poly
-    m22: Poly
-
-    def matmul(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def det(self) -> Poly:
-        return self.m11 * self.m22 - self.m12 * self.m21
 
 
 def principal_minors(m: TridiagonalMatrix) -> list[Poly]:
@@ -177,11 +97,10 @@ def principal_minors(m: TridiagonalMatrix) -> list[Poly]:
     P_n is monic of degree n; P_L is the characteristic polynomial.
     """
     d, u, low = m.diag, m.upper, m.lower
-    minors = [ONE, Poly(np.array([-d[0], 1.0 + 0j]))]
+    minors = [Poly([1.0]), Poly([-d[0], 1.0])]
     for n in range(2, m.L + 1):
-        lin = Poly(np.array([-d[n - 1], 1.0 + 0j]))  # (lambda - d_n)
-        eta = u[n - 2] * low[n - 2]
-        minors.append(lin * minors[n - 1] - poly_scale(minors[n - 2], eta))
+        lin = Poly([-d[n - 1], 1.0])  # (lambda - d_n)
+        minors.append(lin * minors[n - 1] - u[n - 2] * low[n - 2] * minors[n - 2])
     return minors
 
 
@@ -190,43 +109,38 @@ def _spec_etas(spec: ChainSpec) -> np.ndarray:
     return np.array([b * c for b, c in zip(spec.b, spec.c)], dtype=complex)
 
 
-def transfer_T(spec: ChainSpec) -> TransferMatrix:
+def _bond_product(spec: ChainSpec, xs, ys) -> np.ndarray:
+    """Product of the k-1 matrices [[lambda + a_i, x_i], [y_i, 0]] of Poly."""
+    if spec.k < 2:
+        raise ValueError("transfer matrices need k >= 2")
+    factors = [
+        np.array([[Poly([a, 1.0]), Poly([x])], [Poly([y]), Poly([0.0])]], dtype=object)
+        for a, x, y in zip(spec.a, xs, ys)
+    ]
+    return reduce(np.matmul, factors)
+
+
+def transfer_T(spec: ChainSpec) -> np.ndarray:
     """Product of the k-1 bond matrices [[lambda + a_i, -eta_i], [1, 0]].
 
     Propagates the minor pair (P_n, P_{n-1}) across the left half of the
     chain: the product's first column is (P_{k-1}, P_{k-2}) up to the
-    recurrence's own sign bookkeeping.
+    recurrence's own sign bookkeeping.  Returned as a 2x2 object array of
+    Poly, so products are taken with ``@``.
     """
-    if spec.k < 2:
-        raise ValueError("transfer matrices need k >= 2")
     etas = _spec_etas(spec)
-    out: TransferMatrix | None = None
-    for i in range(1, spec.k):
-        lin = Poly(np.array([spec.a[i - 1], 1.0 + 0j]))
-        factor = TransferMatrix(lin, Poly(np.array([-etas[i - 1]])), ONE, ZERO)
-        out = factor if out is None else out.matmul(factor)
-    assert out is not None
-    return out
+    return _bond_product(spec, -etas, np.ones(len(etas)))
 
 
-def transfer_A(spec: ChainSpec) -> TransferMatrix:
+def transfer_A(spec: ChainSpec) -> np.ndarray:
     """Product of the k-1 matrices [[lambda + a_i, 1], [-eta_{i-1}, 0]].
 
     The index shift (eta_{i-1} with eta_0 = 0) makes this the mirror-side
     companion of transfer_T: their top-left entries agree identically, and
-    A12 = -T12 / eta_{k-1}.
+    A12 = -T12 / eta_{k-1}.  Returned as a 2x2 object array of Poly.
     """
-    if spec.k < 2:
-        raise ValueError("transfer matrices need k >= 2")
     etas = _spec_etas(spec)
-    out: TransferMatrix | None = None
-    for i in range(1, spec.k):
-        lin = Poly(np.array([spec.a[i - 1], 1.0 + 0j]))
-        eta_prev = ZERO if i == 1 else Poly(np.array([-etas[i - 2]]))
-        factor = TransferMatrix(lin, ONE, eta_prev, ZERO)
-        out = factor if out is None else out.matmul(factor)
-    assert out is not None
-    return out
+    return _bond_product(spec, np.ones(len(etas)), -np.append(0.0, etas[:-1]))
 
 
 def verify_at_relation(spec: ChainSpec) -> float:
@@ -237,33 +151,29 @@ def verify_at_relation(spec: ChainSpec) -> float:
     both identities hold for every chain with eta_{k-1} != 0, so the
     residual is at rounding level.
     """
-    etas = _spec_etas(spec)
-    eta_last = etas[-1]
+    eta_last = _spec_etas(spec)[-1]
     if abs(eta_last) == 0.0:
-        raise ValueError(
-            "degenerate chain: the bond product eta_{k-1} vanishes, the "
-            "second identity is undefined"
-        )
-    T = transfer_T(spec)
-    A = transfer_A(spec)
-    r1 = (A.m11 - T.m11).norm() / max(1.0, T.m11.norm())
+        raise ValueError("degenerate chain: the bond product eta_{k-1} vanishes, "
+                         "the second identity is undefined")
+    T, A = transfer_T(spec), transfer_A(spec)
+    r1 = (A[0, 0] - T[0, 0]).norm() / max(1.0, T[0, 0].norm())
     # compare eta_{k-1} * A12 + T12 == 0 to avoid dividing coefficients
-    r2 = (poly_scale(A.m12, eta_last) + T.m12).norm() / max(1.0, T.m12.norm())
+    r2 = (eta_last * A[0, 1] + T[0, 1]).norm() / max(1.0, T[0, 1].norm())
     return max(r1, r2)
 
 
-def _central_minors(spec: ChainSpec) -> tuple[Poly, Poly, Poly]:
-    """(P_{k-1}, P_k, P_L) for the chain built from ``spec``."""
-    minors = principal_minors(build(spec))
-    return minors[spec.k - 1], minors[spec.k], minors[2 * spec.k]
+def _square_pair(spec: ChainSpec, unit_norm: bool) -> tuple[Poly, Poly]:
+    """(F, P_L) of H/s from one minors pass: F = P_k + i*(gamma - alpha)/(2s) * P_{k-1}.
 
-
-def _candidate_factor(spec: ChainSpec) -> Poly:
-    """The square-root candidate F with P_L - F^2 proportional to the
-    central block's exceptional-point residual."""
-    pk_minus, pk, _ = _central_minors(spec)
-    alpha, gamma = spec.central.alpha, spec.central.gamma
-    return pk + poly_scale(pk_minus, 1j * (gamma - alpha) / 2.0)
+    s = ||H||_inf if ``unit_norm`` else 1.  The minors of H/s are
+    P_n(s*lambda)/s^n, so on them the relative residual of P_L - F^2 does
+    not change under H -> cH.
+    """
+    m = build(spec)
+    s = (m.inf_norm() or 1.0) if unit_norm else 1.0
+    ps = principal_minors(TridiagonalMatrix(m.diag / s, m.upper / s, m.lower / s))
+    blk, k = spec.central, spec.k
+    return ps[k] + 1j * (blk.gamma - blk.alpha) / (2.0 * s) * ps[k - 1], ps[2 * k]
 
 
 def square_factor(spec: ChainSpec) -> Poly:
@@ -282,7 +192,7 @@ def square_factor(spec: ChainSpec) -> Poly:
             "central block is not at its exceptional point "
             f"(residual {ep_residual(blk):.3e}); no square factor exists"
         )
-    return _candidate_factor(spec)
+    return _square_pair(spec, unit_norm=False)[0]
 
 
 @dataclass(frozen=True)
@@ -291,7 +201,8 @@ class VerificationResult:
 
     ``mode`` is "symbolic" (polynomial square form) or "numeric"
     (even multiplicities of clustered eigenvalues).  For the symbolic mode
-    ``residual`` is the relative coefficient norm of P_L - F^2; for the
+    ``residual`` is the relative coefficient norm of P_L - F^2 for
+    H/||H||_inf, so it does not depend on the chain's scale; for the
     numeric mode it is the largest within-cluster eigenvalue spread at the
     certifying cluster scale (NaN when no scale certifies).  ``order`` is
     the coalescence order the certificate establishes.
@@ -321,8 +232,7 @@ def verify_pc(
     m-fold coalescence.
     """
     if isinstance(target, ChainSpec) and target.central.is_restricted:
-        pk_minus, pk, pl = _central_minors(target)
-        F = _candidate_factor(target)
+        F, pl = _square_pair(target, unit_norm=True)
         residual = (pl - F * F).norm() / pl.norm()
         return VerificationResult("symbolic", float(residual), residual < tol_certify)
 
@@ -333,14 +243,9 @@ def verify_pc(
     for scale in (tol_distinct, 10 * tol_distinct, 100 * tol_distinct):
         groups = cluster_members(eigs, scale)
         if all(len(g) % 2 == 0 for g in groups):
-            spread = 0.0
-            for g in groups:
-                vals = eigs[list(g)]
-                if len(vals) > 1:
-                    spread = max(
-                        spread,
-                        float(max(abs(x - y) for x in vals for y in vals)),
-                    )
+            diffs = [eigs[list(g)][:, None] - eigs[list(g)] for g in groups]
+            # hypot keeps the bytes of scalar abs(x - y); numpy's array complex abs can differ
+            spread = max(float(np.hypot(d.real, d.imag).max()) for d in diffs)
             return VerificationResult("numeric", spread, True)
     return VerificationResult("numeric", math.nan, False)
 
@@ -364,11 +269,8 @@ def verify_power(m: TridiagonalMatrix, order: int, tol: float = 1e-5) -> bool:
     groups = cluster(eigs, tol)
     if any(mult % order != 0 for _, mult in groups):
         return False
-    rebuilt = ONE
-    for rep, mult in groups:
-        factor = Poly(np.array([-rep, 1.0 + 0j]))
-        for _ in range(mult):
-            rebuilt = rebuilt * factor
+    reps = np.repeat([rep for rep, _ in groups], [mult for _, mult in groups])
+    rebuilt = Poly(np.poly(reps)[::-1])
     char = principal_minors(m)[m.L]
     residual = (rebuilt - char).norm() / char.norm()
     return residual <= 1e-6

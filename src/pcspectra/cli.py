@@ -106,8 +106,8 @@ class RunConfig:
             raise _CliError("exactly one of --family, --spec, or a preset is required")
         if self.grid is not None and self.grid[2] < 1:
             raise _CliError("grid must have at least one point")
-        if self.tol_distinct <= 0 or self.tol_certify <= 0:
-            raise _CliError("tolerances must be positive")
+        if not all(0 < t < math.inf for t in (self.tol_distinct, self.tol_certify)):
+            raise _CliError("tolerances must be finite and positive")
         if self.workers < 1:
             raise _CliError("worker count must be at least 1")
 
@@ -127,24 +127,27 @@ def _family_target(family: str, params: dict, sweep_param: str | None = None,
     The builder's signature names the family's parameters; those without a
     default are required.  For family d, sweeping "gamma" moves along the
     scaled direction gamma1/2 = gamma3/2 = gamma2 = value, the
-    one-parameter line on which its coalescence lives.
+    one-parameter line on which its coalescence lives.  A swept parameter
+    that ``params`` also fixes is rejected as stray.
     """
     builder = _FAMILIES.get(family)
     if builder is None:
         raise _CliError(f"unknown family {family!r}")
     known = inspect.signature(builder).parameters
     p = {k: v for k, v in params.items() if v is not None}
+    swept = {}
     if sweep_param is not None:
         if family == "d" and sweep_param == "gamma":
-            p.update(gamma1=2.0 * value, gamma2=value, gamma3=2.0 * value)
+            swept = dict(gamma1=2.0 * value, gamma2=value, gamma3=2.0 * value)
         elif sweep_param in known and sweep_param != "L":
-            p[sweep_param] = value
+            swept = {sweep_param: value}
         else:
             raise _CliError(f"family {family!r} cannot sweep {sweep_param!r}")
+    stray = [k for k in p if k not in known or k in swept]
+    p.update(swept)
     missing = [k for k, v in known.items() if v.default is v.empty and k not in p]
     if missing:
         raise _CliError(f"family {family!r} needs {_flags(missing)}")
-    stray = [k for k in p if k not in known]
     if stray:
         raise _CliError(f"family {family!r} does not take {_flags(stray)}")
     nonfinite = [k for k, v in p.items() if not cmath.isfinite(v)]
@@ -644,12 +647,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if "PC_SPECTRA_WORKERS" in os.environ:
         fields["workers"] = int(os.environ["PC_SPECTRA_WORKERS"])
     # Every family flag given, not just the selected family's, so strays like
-    # --J1 with family legacy are rejected downstream.  The parameter a grid
-    # supplies is not a fixed family parameter.
+    # --J1 with family legacy, or a fixed value for the swept parameter, are
+    # rejected downstream.
     params = {k: fields.pop(k) for k in _PARAMS if k in fields}
-    if args.subcommand == "sweep":
-        params.pop(fields.get("sweep_param", "gamma"), None)
-    elif args.subcommand in ("nonortho", "dynamics") and "gamma" in params:
+    if args.subcommand in ("nonortho", "dynamics") and "gamma" in params:
         fields["gamma"] = params.pop("gamma")
     return RunConfig(params=params, **fields)
 

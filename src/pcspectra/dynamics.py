@@ -94,8 +94,8 @@ def gaussian_packet(L: int, j0: float, sigma: float, p: float) -> StateVector:
     """
     if L < 1:
         raise ValueError("L must be positive")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not all(map(math.isfinite, (j0, sigma, p))) or sigma <= 0:
+        raise ValueError("j0, sigma and p must be finite and sigma positive")
     j = np.arange(1, L + 1, dtype=float)
     amps = np.exp(-((j - j0) ** 2) / (4.0 * sigma**2) + 1j * p * j)
     return StateVector(amps / np.linalg.norm(amps))
@@ -256,7 +256,7 @@ def norm_trace(
     psi = _amplitudes(psi0)
     if len(psi) != m.L:
         raise ValueError(f"state has {len(psi)} sites, matrix has {m.L}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
         raise ValueError("initial state must have unit norm")
     if dt <= 0:
         raise ValueError("dt must be positive")

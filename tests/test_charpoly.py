@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcspectra.chain import (
     CentralBlock,
+    ChainSpec,
     TridiagonalMatrix,
     build,
     family_a,
@@ -15,7 +18,6 @@ from pcspectra.chain import (
     random_spec,
 )
 from pcspectra.charpoly import (
-    ONE,
     Poly,
     charpoly_oracle,
     principal_minors,
@@ -44,6 +46,19 @@ def rel_diff(p: Poly, q: Poly) -> float:
     return (p - q).norm() / max(1.0, q.norm())
 
 
+def scaled(spec: ChainSpec, s: float) -> ChainSpec:
+    """The same chain with every matrix entry multiplied by s."""
+    blk = spec.central
+    central = CentralBlock(*(s * z for z in (blk.alpha, blk.gamma, blk.delta_upper,
+                                             blk.delta_lower)))
+    arm = [tuple(s * z for z in xs) for xs in (spec.a, spec.b, spec.c)]
+    return ChainSpec(spec.k, *arm, central, spec.flip_mask, s * spec.edge_beta)
+
+
+properties = settings(max_examples=60, deadline=None, derandomize=True)
+scales = st.integers(-6, 6).map(lambda e: 10.0**e)
+
+
 # --- polynomial arithmetic ---------------------------------------------------
 
 
@@ -67,9 +82,10 @@ def test_poly_eval_matches_numpy():
         assert p(x) == pytest.approx(want)
 
 
-def test_poly_trims_negligible_tail():
+def test_poly_keeps_every_coefficient():
     p = Poly([1.0, 1.0, 1e-20])
-    assert p.degree == 1
+    assert p.degree == 2 and p.coeffs[-1] == 1e-20
+    assert (p - p).degree == 2 and (p - p).is_zero
 
 
 # --- principal minors ---------------------------------------------------------
@@ -102,6 +118,24 @@ def test_minors_match_leading_block_determinants():
             assert ps[n](x) == pytest.approx(np.linalg.det(block), rel=1e-8, abs=1e-8)
 
 
+@properties
+@given(
+    k=st.integers(2, 40),
+    seed=st.integers(0, 2**16),
+    sigma=st.sampled_from([0.3, 1.0, 3.0]),
+    s=scales,
+)
+def test_minors_keep_monic_degree_at_every_scale(k, seed, sigma, s):
+    m = build(scaled(random_spec(k, seed, sigma), s))
+    # the low coefficients of long chains at norm ~1e7 overflow to inf;
+    # length and leading coefficient must hold regardless
+    with np.errstate(over="ignore", invalid="ignore"):
+        minors = principal_minors(m)
+    for n, p in enumerate(minors):
+        assert len(p.coeffs) == n + 1
+        assert p.coeffs[-1] == 1.0
+
+
 def test_minors_agree_with_trace_recursion_oracle():
     rng = np.random.default_rng(17)
     for _ in range(200):
@@ -131,12 +165,12 @@ def test_transfer_base_case_entries():
     a = transfer_A(spec)
     lam_plus_a1 = Poly([spec.a[0], 1.0])
     eta1 = spec.b[0] * spec.c[0]
-    assert rel_diff(t.m11, lam_plus_a1) < 1e-15
-    assert rel_diff(t.m12, Poly([-eta1])) < 1e-15
-    assert rel_diff(t.m21, ONE) < 1e-15
-    assert rel_diff(a.m11, lam_plus_a1) < 1e-15
-    assert rel_diff(a.m12, ONE) < 1e-15
-    assert a.m21.is_zero
+    assert rel_diff(t[0, 0], lam_plus_a1) < 1e-15
+    assert rel_diff(t[0, 1], Poly([-eta1])) < 1e-15
+    assert rel_diff(t[1, 0], Poly([1.0])) < 1e-15
+    assert rel_diff(a[0, 0], lam_plus_a1) < 1e-15
+    assert rel_diff(a[0, 1], Poly([1.0])) < 1e-15
+    assert a[1, 0].is_zero
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 16])
@@ -254,6 +288,22 @@ def test_verify_pc_symbolic_accepts_and_rejects():
     assert result.mode == "symbolic"
     assert not result.certified
     assert result.residual > 1e-3
+
+
+@properties
+@given(
+    k=st.integers(2, 20),
+    seed=st.integers(0, 2**16),
+    sigma=st.sampled_from([0.3, 1.0, 3.0]),
+    detune=st.sampled_from([1.0, 1.5]),
+    s=scales,
+)
+def test_verify_pc_verdict_is_scale_free(k, seed, sigma, detune, s):
+    delta = detune * pc_delta(-1.2, 1.0)
+    spec = random_spec(k, seed, sigma, CentralBlock(-1.2, 1.0, delta, delta))
+    big = scaled(spec, s)
+    assert np.allclose(build(big).to_dense(), s * build(spec).to_dense(), rtol=1e-15, atol=0)
+    assert verify_pc(big).certified == verify_pc(spec).certified == (detune == 1.0)
 
 
 def test_verify_pc_numeric_path_for_raw_matrices():

@@ -88,6 +88,23 @@ def test_invalid_usage_exits_one(tmp_path, capsys):
          "--alpha", "0", "--gamma", "3", "--dt", "-0.01"],
         ["dynamics", "--family", "b", "--L", "12", "--J1", "1", "--J2", "1.5",
          "--alpha", "0", "--gamma", "3", "--dt", "0"],
+        # non-finite tolerances
+        ["spectrum", "--family", "legacy", "--L", "10", "--alpha", "0", "--gamma", "2",
+         "--tol-distinct", "nan"],
+        ["verify", "--family", "legacy", "--L", "10", "--alpha", "0", "--gamma", "2",
+         "--tol-certify", "nan"],
+        # non-finite wavepacket parameters
+        ["dynamics", "--family", "b", "--L", "12", "--J1", "1", "--J2", "1.5",
+         "--alpha", "0", "--gamma", "3", "--j0", "nan", "--t-final", "1"],
+        ["dynamics", "--family", "b", "--L", "12", "--J1", "1", "--J2", "1.5",
+         "--alpha", "0", "--gamma-grid", "2:4:3", "--sigma", "nan"],
+        ["dynamics", "--family", "b", "--L", "12", "--J1", "1", "--J2", "1.5",
+         "--alpha", "0", "--gamma", "3", "--p", "nan", "--t-final", "1"],
+        # a fixed value for a swept parameter
+        ["sweep", "--family", "d", "--L", "12", "--gamma1", "5", "--gamma2", "7",
+         "--grid", "0.5:1.5:3"],
+        ["sweep", "--family", "b", "--L", "10", "--J1", "9", "--J2", "1", "--alpha", "0",
+         "--gamma", "2", "--sweep-param", "J1", "--grid", "0.5:2.5:3"],
     ]
     for argv in bad_argvs:
         assert cli.main(argv) == 1, argv

@@ -152,6 +152,16 @@ def test_norm_trace_rejects_nonpositive_dt():
             norm_trace(m, uniform_site(4), 1.0, dt=dt)
 
 
+def test_nonfinite_packet_and_state_rejected():
+    for j0, sigma, p in ((np.nan, 2.0, 0.0), (4.0, np.nan, 0.0), (4.0, np.inf, 0.0),
+                         (4.0, 2.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_packet(8, j0, sigma, p)
+    m = build(legacy(4, 0.0, 1.0))
+    with pytest.raises(ValueError, match="unit norm"):
+        norm_trace(m, np.full(4, np.nan, dtype=complex), 1.0)
+
+
 def test_decay_pairing_inequality():
     # 2 e^{-x} <= e^{-x-d} + e^{-x+d}: splitting a decay rate never helps
     rng = np.random.default_rng(12)
