@@ -50,7 +50,6 @@ from .dynamics import (
     uniform_site,
 )
 from .eig import (
-    EigenvalueError,
     Spectrum,
     cluster,
     cluster_members,
@@ -100,7 +99,6 @@ __all__ = [
     "norm_trace",
     "uniform_eigen",
     "uniform_site",
-    "EigenvalueError",
     "Spectrum",
     "cluster",
     "cluster_members",

@@ -162,16 +162,22 @@ def verify_at_relation(spec: ChainSpec) -> float:
     return max(r1, r2)
 
 
+def _unit_minors(m: TridiagonalMatrix, unit_norm: bool = True) -> tuple[list[Poly], float]:
+    """(minors of H/s, s) with s = ||H||_inf if ``unit_norm`` else 1.
+
+    The minors of H/s are P_n(s*lambda)/s^n, so relative residuals taken on
+    them do not change under H -> cH, and their coefficients cannot overflow.
+    """
+    s = (m.inf_norm() or 1.0) if unit_norm else 1.0
+    return principal_minors(TridiagonalMatrix(m.diag / s, m.upper / s, m.lower / s)), s
+
+
 def _square_pair(spec: ChainSpec, unit_norm: bool) -> tuple[Poly, Poly]:
     """(F, P_L) of H/s from one minors pass: F = P_k + i*(gamma - alpha)/(2s) * P_{k-1}.
 
-    s = ||H||_inf if ``unit_norm`` else 1.  The minors of H/s are
-    P_n(s*lambda)/s^n, so on them the relative residual of P_L - F^2 does
-    not change under H -> cH.
+    s = ||H||_inf if ``unit_norm`` else 1 (see ``_unit_minors``).
     """
-    m = build(spec)
-    s = (m.inf_norm() or 1.0) if unit_norm else 1.0
-    ps = principal_minors(TridiagonalMatrix(m.diag / s, m.upper / s, m.lower / s))
+    ps, s = _unit_minors(build(spec), unit_norm)
     blk, k = spec.central, spec.k
     return ps[k] + 1j * (blk.gamma - blk.alpha) / (2.0 * s) * ps[k - 1], ps[2 * k]
 
@@ -256,10 +262,12 @@ def verify_power(m: TridiagonalMatrix, order: int, tol: float = 1e-5) -> bool:
     True iff every eigenvalue cluster at scale ``tol`` has multiplicity
     divisible by ``order`` and the polynomial rebuilt from the cluster
     representatives, prod (lambda - rep)^mult, matches the characteristic
-    polynomial to relative residual 1e-6.  The default scale matches the
-    distinct-eigenvalue counting rule; for coalescence orders above 2 the
-    floating-point eigenvalue splitting (epsilon^(1/order)) usually calls
-    for a larger scale, e.g. 1e-3 for order 4.
+    polynomial to relative residual 1e-6.  Both polynomials are taken for
+    H/||H||_inf, so the comparison does not depend on the chain's scale.
+    The default scale matches the distinct-eigenvalue counting rule; for
+    coalescence orders above 2 the floating-point eigenvalue splitting
+    (epsilon^(1/order)) usually calls for a larger scale, e.g. 1e-3 for
+    order 4.
     """
     if order not in (2, 4, 8):
         raise ValueError(f"order must be 2, 4, or 8, got {order}")
@@ -270,8 +278,8 @@ def verify_power(m: TridiagonalMatrix, order: int, tol: float = 1e-5) -> bool:
     if any(mult % order != 0 for _, mult in groups):
         return False
     reps = np.repeat([rep for rep, _ in groups], [mult for _, mult in groups])
-    rebuilt = Poly(np.poly(reps)[::-1])
-    char = principal_minors(m)[m.L]
+    minors, s = _unit_minors(m)
+    rebuilt, char = Poly(np.poly(reps / s)[::-1]), minors[m.L]
     residual = (rebuilt - char).norm() / char.norm()
     return residual <= 1e-6
 

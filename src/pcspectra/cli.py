@@ -42,7 +42,7 @@ import numpy as np
 
 from . import chain, dynamics, nonortho
 from .charpoly import verify_pc, verify_power
-from .eig import EigenvalueError, cluster_members, distinct_count, eigenvalues, spectrum
+from .eig import cluster_members, distinct_count, eigenvalues, spectrum
 
 __all__ = ["RunConfig", "run", "preset", "main"]
 
@@ -674,12 +674,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         summary = run(_config_from_args(parser.parse_args(argv)))
+    except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as exc:
+        # before ValueError: LinAlgError subclasses it
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (_CliError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (EigenvalueError, ArithmeticError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     print(json.dumps(_json_ready(summary), sort_keys=True))
     return 0
 

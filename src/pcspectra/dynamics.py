@@ -39,6 +39,8 @@ __all__ = [
     "min_norm_gamma",
 ]
 
+# At exact PC coalesced pairs share one eigenvector column (basis singular
+# value below 1e-38); detuned by 1e-6 the basis keeps singular values above 1e-4.
 _DEFECTIVE_SV = 1e-8
 _DEFECTIVE_NUDGE = 1e-6
 _GROWTH_SLACK = 1e-6

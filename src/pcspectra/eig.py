@@ -1,20 +1,22 @@
-"""Dense complex eigensolver for tridiagonal chain Hamiltonians.
+"""Eigenvalues and eigenvectors of tridiagonal chain Hamiltonians.
 
-A tridiagonal matrix is already upper Hessenberg, so the solver runs
-shifted QR iteration directly: explicit single-shift sweeps built from
-Givens rotations, Wilkinson shifts taken from the trailing 2x2 block of
-the active window, deflation whenever a subdiagonal entry becomes
-negligible, and a deterministic exceptional shift when a window stalls.
+Eigenvalues come from LAPACK (``np.linalg.eigvals``).  At pairwise
+coalescence every eigenvalue is a double root with a single eigenvector;
+a backward-stable solver splits each pair by about sqrt(eps)*||H||, while
+the pair's mean moves only at O(eps) (Lidskii; Moro, Burke & Overton,
+SIAM J. Matrix Anal. Appl. 18, 1997).  So each cluster whose unit,
+phase-fixed eigenvectors lie within 1e-6 of each other is reported at its
+mean.  Close eigenvalues alone do not link: an edge-state pair can lie
+1e-13*||H|| apart with independent eigenvectors.
 
-Eigenvectors come from the forward row recursion: for a tridiagonal
-matrix, once z_1 is fixed every further component is determined row by
-row, which is also why coalescing eigenvalues drag their eigenvectors
-into coalescence.  When a superdiagonal entry is (numerically) zero the
-recursion breaks down and inverse iteration takes over.
+Eigenvectors come from the forward row recursion, run for all eigenvalues
+at once: once z_1 is fixed every further component follows row by row,
+which is also why coalescing eigenvalues drag their eigenvectors into
+coalescence.  A column with a poor residual, or every column when a
+superdiagonal entry is (numerically) zero, takes inverse iteration.
 
 Eigenvalues are reported in canonical order -- ascending real part, ties
-broken by ascending imaginary part -- so coalescing partners occupy
-consecutive indices.
+broken by ascending imaginary part -- so coalesced partners are adjacent.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .chain import TridiagonalMatrix
 
 __all__ = [
     "Spectrum",
-    "EigenvalueError",
     "eigenvalues",
     "eigenvector_for",
     "spectrum",
@@ -35,21 +36,13 @@ __all__ = [
     "cluster_members",
 ]
 
-_DEFLATE_REL = 1e-14
-_STALL_LIMIT = 30
 _RECURSION_BREAKDOWN_REL = 1e-10
 _RESIDUAL_REL = 1e-6
-
-
-class EigenvalueError(RuntimeError):
-    """QR iteration failed to converge within its iteration budget."""
-
-    def __init__(self, index: int, budget: int):
-        self.index = index
-        super().__init__(
-            f"eigenvalue at active index {index} did not converge within "
-            f"{budget} total QR iterations"
-        )
+# Unit eigenvectors closer than this belong to one coalesced cluster.
+_COINCIDE = 1e-6
+# Such vectors have eigenvalues within about 2*_COINCIDE*||H|| plus their two
+# residuals (each at most _RESIDUAL_REL*||H||); only pairs this close are compared.
+_CANDIDATE_REL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +51,9 @@ class Spectrum:
 
     ``eigenvalues[mu]`` pairs with the column ``eigenvectors[:, mu]``; the
     vectors have unit 2-norm and their first significant component is
-    rotated to the positive real axis.  ``iterations[mu]`` counts the QR
-    sweeps spent on the deflation that released eigenvalue mu.
+    rotated to the positive real axis.  ``iterations`` is all zeros:
+    LAPACK reports no per-eigenvalue iteration counts, and the field is
+    kept only for callers that still read it.
     """
 
     eigenvalues: np.ndarray
@@ -79,162 +73,74 @@ class Spectrum:
         return float(np.linalg.svd(self.eigenvectors, compute_uv=False)[-1])
 
 
-def _wilkinson_shift(a: complex, b: complex, c: complex, d: complex) -> complex:
-    """Eigenvalue of [[a, b], [c, d]] closer to d."""
-    half = (a + d) / 2.0
-    disc = np.sqrt(complex((a - d) / 2.0) ** 2 + b * c)
-    m1, m2 = half + disc, half - disc
-    return m1 if abs(m1 - d) <= abs(m2 - d) else m2
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> list[list[int]]:
+    """Components of the graph on 0..n-1 with edges (i[k], j[k]), by smallest member."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(i.tolist(), j.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    groups: dict[int, list[int]] = {}
+    for a in range(n):
+        groups.setdefault(find(a), []).append(a)
+    return sorted(groups.values(), key=lambda g: g[0])
 
 
-def _canonical_order(eigs: np.ndarray) -> np.ndarray:
-    return np.lexsort((eigs.imag, eigs.real))
+def _pairs_within(eigs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j with |eigs[i] - eigs[j]| <= tol."""
+    return np.nonzero(np.triu(np.abs(eigs[:, None] - eigs[None, :]) <= tol, 1))
 
 
-def _qr_eigenvalues(m: TridiagonalMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues (unordered) plus per-eigenvalue sweep counts."""
-    n = m.L
-    A = m.to_dense()
-    eigs = np.zeros(n, dtype=complex)
-    iters = np.zeros(n, dtype=int)
-    budget = _STALL_LIMIT * n
-    total = 0
-    window_iters = 0
-    hi = n - 1
-
-    while hi >= 0:
-        if hi == 0:
-            eigs[0] = A[0, 0]
-            iters[0] = window_iters
-            break
-
-        # Deflate every negligible subdiagonal at the bottom of the matrix.
-        sub = A[hi, hi - 1]
-        if abs(sub) <= _DEFLATE_REL * (abs(A[hi - 1, hi - 1]) + abs(A[hi, hi])):
-            eigs[hi] = A[hi, hi]
-            iters[hi] = window_iters
-            window_iters = 0
-            hi -= 1
-            continue
-
-        # Active unreduced window [lo, hi].
-        lo = hi
-        while lo > 0 and abs(A[lo, lo - 1]) > _DEFLATE_REL * (
-            abs(A[lo - 1, lo - 1]) + abs(A[lo, lo])
-        ):
-            lo -= 1
-
-        if total >= budget:
-            raise EigenvalueError(hi, budget)
-
-        if window_iters > 0 and window_iters % _STALL_LIMIT == 0:
-            # deterministic exceptional shift to break a stalled cycle
-            shift = A[hi, hi] + (0.75 + 0.43j) * abs(A[hi, hi - 1])
-        else:
-            shift = _wilkinson_shift(
-                A[hi - 1, hi - 1], A[hi - 1, hi], A[hi, hi - 1], A[hi, hi]
-            )
-
-        # One explicit shifted QR sweep restricted to the window:
-        # A <- R Q + shift*I where Q R = A - shift*I.
-        idx = np.arange(lo, hi + 1)
-        A[idx, idx] -= shift
-        rotations = []
-        for i in range(lo, hi):
-            x, y = A[i, i], A[i + 1, i]
-            r = np.hypot(abs(x), abs(y))
-            if r == 0.0:
-                c, s = 1.0 + 0j, 0j
-            else:
-                c, s = x / r, y / r
-            row_i = A[i, i : hi + 1].copy()
-            row_j = A[i + 1, i : hi + 1]
-            A[i, i : hi + 1] = np.conj(c) * row_i + np.conj(s) * row_j
-            A[i + 1, i : hi + 1] = -s * row_i + c * row_j
-            rotations.append((c, s))
-        for k, (c, s) in enumerate(rotations):
-            i = lo + k
-            col_i = A[lo : i + 2, i].copy()
-            col_j = A[lo : i + 2, i + 1]
-            A[lo : i + 2, i] = c * col_i + s * col_j
-            A[lo : i + 2, i + 1] = -np.conj(s) * col_i + np.conj(c) * col_j
-        A[idx, idx] += shift
-        window_iters += 1
-        total += 1
-
-    return eigs, iters
-
-
-def eigenvalues(m: TridiagonalMatrix) -> np.ndarray:
-    """All L eigenvalues (with multiplicity) in canonical order."""
-    eigs, _ = _qr_eigenvalues(m)
-    return eigs[_canonical_order(eigs)]
-
-
-def _forward_recursion(m: TridiagonalMatrix, lam: complex) -> np.ndarray:
-    """Solve the eigenvalue rows for z_2..z_L given z_1 = 1."""
-    L = m.L
-    d, u, low = m.diag, m.upper, m.lower
-    z = np.zeros(L, dtype=complex)
+def _recursion(m: TridiagonalMatrix, lams: np.ndarray) -> np.ndarray:
+    """Solve the eigenvalue rows for z_2..z_L given z_1 = 1; one column per lambda."""
+    L, d, u, low = m.L, m.diag, m.upper, m.lower
+    z = np.zeros((L, len(lams)), dtype=complex)
     z[0] = 1.0
     if L > 1:
-        z[1] = (lam - d[0]) * z[0] / u[0]
+        z[1] = (lams - d[0]) / u[0]
     for j in range(1, L - 1):
-        z[j + 1] = ((lam - d[j]) * z[j] - low[j - 1] * z[j - 1]) / u[j]
-        top = abs(z[j + 1])
-        if top > 1e150:  # rescale a growing solution; only direction matters
-            z[: j + 2] /= top
+        z[j + 1] = ((lams - d[j]) * z[j] - low[j - 1] * z[j - 1]) / u[j]
+        top = np.abs(z[j + 1])
+        big = top > 1e150  # rescale a growing solution; only direction matters
+        if big.any():
+            z[: j + 2, big] /= top[big]
     return z
 
 
-def _residual(m: TridiagonalMatrix, lam: complex, v: np.ndarray) -> float:
-    L = m.L
-    Hv = m.diag * v
-    if L > 1:
-        Hv[:-1] += m.upper * v[1:]
-        Hv[1:] += m.lower * v[:-1]
-    return float(np.linalg.norm(Hv - lam * v))
+def _residuals(m: TridiagonalMatrix, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """||H v - lambda v|| for every column v of V."""
+    HV = m.diag[:, None] * V
+    if m.L > 1:
+        HV[:-1] += m.upper[:, None] * V[1:]
+        HV[1:] += m.lower[:, None] * V[:-1]
+    HV -= lams * V
+    return np.linalg.norm(HV, axis=0)
 
 
-def _normalize_phase(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    top = np.abs(v).max()
-    for comp in v:
-        if abs(comp) > 1e-12 * top:
-            v = v * (np.conj(comp) / abs(comp))
-            break
-    return v
+def _normalize_phase(V: np.ndarray) -> np.ndarray:
+    """Scale V's columns in place to unit norm, first significant component positive real."""
+    V /= np.linalg.norm(V, axis=0)
+    mag = np.abs(V)
+    first = V[np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0), np.arange(V.shape[1])]
+    V *= np.conj(first) / np.abs(first)
+    return V
 
 
-def eigenvector_for(m: TridiagonalMatrix, lam: complex) -> np.ndarray:
-    """Normalized right eigenvector for an eigenvalue ``lam``.
+def _inverse_iteration(m: TridiagonalMatrix, lam: complex, scale: float) -> np.ndarray:
+    """Phase-fixed eigenvector for ``lam``; raises ArithmeticError on a poor residual.
 
-    Uses the forward row recursion when every superdiagonal entry is
-    significant, otherwise (or when the recursion's residual is poor)
-    inverse iteration from a fixed-seed random start.  The result has unit
-    2-norm and its first significant component is positive real.  Raises
-    ArithmeticError when no vector reaches residual 1e-6 * ||H||.
+    The fixed seed keeps results reproducible; the tiny diagonal nudge keeps
+    the solve away from exact singularity.
     """
-    L = m.L
-    scale = max(m.inf_norm(), 1e-300)
-    if L == 1:
-        return np.array([1.0 + 0j])
-    if np.all(m.upper == 0) and np.all(m.lower == 0):
-        # diagonal matrix: eigenvectors are basis vectors
-        j = int(np.argmin(np.abs(m.diag - lam)))
-        v = np.zeros(L, dtype=complex)
-        v[j] = 1.0
-        return v
-
-    tol = _RESIDUAL_REL * scale
-    if np.abs(m.upper).min() >= _RECURSION_BREAKDOWN_REL * scale:
-        v = _normalize_phase(_forward_recursion(m, lam))
-        if _residual(m, lam, v) <= tol:
-            return v
-
-    # Inverse iteration fallback.  The fixed seed keeps results reproducible;
-    # the tiny diagonal nudge keeps the solve away from exact singularity.
-    H = m.to_dense()
+    L, H = m.L, m.to_dense()
     shifted = H - (lam + 1e-12 * scale) * np.eye(L)
     rng = np.random.default_rng(0x5EED)
     v = rng.normal(size=L) + 1j * rng.normal(size=L)
@@ -246,25 +152,80 @@ def eigenvector_for(m: TridiagonalMatrix, lam: complex) -> np.ndarray:
             shifted = H - (lam + 1e-10 * scale) * np.eye(L)
             v = np.linalg.solve(shifted, v)
         v /= np.linalg.norm(v)
-    v = _normalize_phase(v)
-    resid = _residual(m, lam, v)
-    if resid > tol:
+    v = _normalize_phase(v[:, None])
+    resid = _residuals(m, np.array([lam]), v)[0]
+    if resid > _RESIDUAL_REL * scale:
         raise ArithmeticError(
             f"no eigenvector at residual {_RESIDUAL_REL} * ||H||: lambda={lam}, "
             f"residual {resid:.3e} (is lambda an eigenvalue?)"
         )
-    return v
+    return v[:, 0]
+
+
+def _eigenvectors(m: TridiagonalMatrix, lams: np.ndarray) -> np.ndarray:
+    """Unit, phase-fixed right eigenvectors of ``lams``, one column each."""
+    L, n = m.L, len(lams)
+    if L == 1:
+        return np.ones((1, n), dtype=complex)
+    if not (m.upper.any() or m.lower.any()):
+        # diagonal matrix: eigenvectors are basis vectors
+        V = np.zeros((L, n), dtype=complex)
+        V[np.argmin(np.abs(m.diag[:, None] - lams), axis=0), np.arange(n)] = 1.0
+        return V
+
+    scale = max(m.inf_norm(), 1e-300)
+    if np.abs(m.upper).min() >= _RECURSION_BREAKDOWN_REL * scale:
+        with np.errstate(all="ignore"):  # overflowed columns fail the residual check
+            V = _normalize_phase(_recursion(m, lams))
+            failed = ~(_residuals(m, lams, V) <= _RESIDUAL_REL * scale)
+    else:
+        V, failed = np.empty((L, n), dtype=complex), np.ones(n, dtype=bool)
+    for mu in np.flatnonzero(failed):
+        V[:, mu] = _inverse_iteration(m, lams[mu], scale)
+    return V
+
+
+def eigenvector_for(m: TridiagonalMatrix, lam: complex) -> np.ndarray:
+    """Normalized right eigenvector for an eigenvalue ``lam``.
+
+    Uses the forward row recursion when every superdiagonal entry is
+    significant, otherwise (or when the recursion's residual is poor)
+    inverse iteration from a fixed-seed random start.  The result has unit
+    2-norm and its first significant component is positive real.  Raises
+    ArithmeticError when no vector reaches residual 1e-6 * ||H||.
+    """
+    return _eigenvectors(m, np.array([lam], dtype=complex))[:, 0]
+
+
+def _coalesce(m: TridiagonalMatrix, eigs: np.ndarray) -> np.ndarray:
+    """``eigs`` with every cluster of coinciding eigenvectors set to its mean."""
+    i, j = _pairs_within(eigs, _CANDIDATE_REL * m.inf_norm())
+    if len(i) == 0:
+        return eigs
+    cols, where = np.unique(np.concatenate([i, j]), return_inverse=True)
+    V = _eigenvectors(m, eigs[cols])
+    gap = np.linalg.norm(V[:, where[: len(i)]] - V[:, where[len(i) :]], axis=0)
+    close = gap <= _COINCIDE
+    eigs = eigs.copy()
+    for g in _components(len(eigs), i[close], j[close]):
+        if len(g) > 1:
+            eigs[g] = eigs[g].mean()
+    return eigs
+
+
+def eigenvalues(m: TridiagonalMatrix) -> np.ndarray:
+    """All L eigenvalues (with multiplicity) in canonical order.
+
+    Each coalesced cluster is reported at its mean (see the module notes).
+    """
+    eigs = _coalesce(m, np.linalg.eigvals(m.to_dense()))
+    return eigs[np.lexsort((eigs.imag, eigs.real))]
 
 
 def spectrum(m: TridiagonalMatrix) -> Spectrum:
-    """Full spectral data: canonical eigenvalues, eigenvectors, iteration counts."""
-    eigs, iters = _qr_eigenvalues(m)
-    order = _canonical_order(eigs)
-    eigs, iters = eigs[order], iters[order]
-    vecs = np.zeros((m.L, m.L), dtype=complex)
-    for mu, lam in enumerate(eigs):
-        vecs[:, mu] = eigenvector_for(m, lam)
-    return Spectrum(eigs, vecs, iters)
+    """Full spectral data: canonical eigenvalues and their eigenvectors."""
+    eigs = eigenvalues(m)
+    return Spectrum(eigs, _eigenvectors(m, eigs), np.zeros(m.L, dtype=int))
 
 
 def cluster_members(eigs: np.ndarray, tol: float) -> list[list[int]]:
@@ -274,27 +235,7 @@ def cluster_members(eigs: np.ndarray, tol: float) -> list[list[int]]:
     length <= tol connects them.
     """
     eigs = np.asarray(eigs, dtype=complex)
-    n = len(eigs)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    if n > 1:
-        diff = np.abs(eigs[:, None] - eigs[None, :])
-        for i, j in zip(*np.nonzero(diff <= tol)):
-            if i < j:
-                ri, rj = find(int(i)), find(int(j))
-                if ri != rj:
-                    parent[ri] = rj
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: min(g))
+    return _components(len(eigs), *_pairs_within(eigs, tol))
 
 
 def cluster(eigs: np.ndarray, tol: float) -> list[tuple[complex, int]]:
@@ -303,9 +244,7 @@ def cluster(eigs: np.ndarray, tol: float) -> list[tuple[complex, int]]:
     Clusters are ordered canonically by their representative.
     """
     eigs = np.asarray(eigs, dtype=complex)
-    reps = [
-        (complex(np.mean(eigs[g])), len(g)) for g in cluster_members(eigs, tol)
-    ]
+    reps = [(complex(np.mean(eigs[g])), len(g)) for g in cluster_members(eigs, tol)]
     reps.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return reps
 

@@ -335,3 +335,12 @@ def test_verify_power_orders():
         np.zeros(4), np.ones(3), np.ones(3)
     )
     assert not verify_power(hermitian, 2)
+
+
+def test_verify_power_is_scale_free():
+    # the unscaled characteristic polynomial of the large copy overflows
+    m = family_d(60, 2.0, 1.0, 2.0)
+    c = 1e6
+    big = TridiagonalMatrix(c * m.diag, c * m.upper, c * m.lower)
+    assert verify_power(m, 4, tol=1e-3)
+    assert verify_power(big, 4, tol=1e-3 * c)

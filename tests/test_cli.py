@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from pcspectra import cli
@@ -117,6 +118,19 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
         "dynamics", "--family", "legacy", "--L", "6", "--alpha", "0",
         "--gamma", "0", "--state", "uniform-site", "--t-final", "10",
         "--dt", "2.0", "--out", str(tmp_path / "t.csv"),
+    ])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_lapack_failure_exits_two(tmp_path, capsys, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    code = cli.main([
+        "spectrum", "--family", "legacy", "--L", "10", "--alpha", "0",
+        "--gamma", "2", "--out", str(tmp_path / "s.csv"),
     ])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err

@@ -67,9 +67,20 @@ def test_uniform_eigen_matches_eigenvector_sum():
 
 
 def test_uniform_eigen_rejects_defective_basis():
-    s = spectrum(build(family_b(10, 1.5, 1.0, 0.0, 3.0)))
-    with pytest.raises(ValueError):
-        uniform_eigen(s)
+    for spec in (
+        family_b(10, 1.5, 1.0, 0.0, 3.0),
+        legacy(10, 0.0, 2.0),
+        family_b(24, 1.0, 1.5, 0.0, 3.0),
+    ):
+        s = spectrum(build(spec))
+        with pytest.raises(ValueError):
+            uniform_eigen(s)
+
+
+def test_uniform_eigen_accepts_resolved_edge_pair():
+    # an edge pair 2.4e-13*||H|| apart whose eigenvectors are independent
+    s = spectrum(build(family_b(104, 1.0, 1.5, 0.0, 3.0 + 1e-6)))
+    assert uniform_eigen(s).norm() == pytest.approx(1.0)
 
 
 def test_evolve_matches_matrix_exponential():

@@ -1,4 +1,4 @@
-"""Eigensolver: QR iteration, eigenvectors, clustering and counting."""
+"""Eigensolver: LAPACK eigenvalues, coalesced clusters, eigenvectors, clustering."""
 from __future__ import annotations
 
 import numpy as np
@@ -117,6 +117,26 @@ def test_coalescing_eigenvectors_become_parallel():
         assert abs(np.vdot(a, b)) > 1 - 1e-8
 
 
+def test_coalesced_pairs_reported_at_their_mean():
+    for spec in (legacy(10, 0.0, 2.0), family_b(10, 1.5, 1.0, 0.0, 3.0)):
+        m = build(spec)
+        eigs = eigenvalues(m)
+        assert np.array_equal(eigs[0::2], eigs[1::2])
+        lapack = np.sort_complex(np.linalg.eigvals(m.to_dense()))
+        means = [mean for mean, _ in cluster(lapack, tol=1e-5)]
+        assert np.abs(eigs[0::2] - means).max() < 1e-12 * m.inf_norm()
+        s = spectrum(m)
+        assert np.array_equal(s.eigenvectors[:, 0::2], s.eigenvectors[:, 1::2])
+        for mu in range(0, m.L, 2):
+            assert np.allclose(eigenvector_for(m, eigs[mu]), s.eigenvectors[:, mu],
+                               rtol=0, atol=1e-12)
+    # detuned: close pairs with distinct eigenvectors keep LAPACK's values
+    m = build(family_b(10, 1.5, 1.0, 0.0, 3.0 + 1e-6))
+    eigs = eigenvalues(m)
+    assert distinct_count(eigs, tol=1e-12) == 10
+    assert np.array_equal(np.sort_complex(eigs), np.sort_complex(np.linalg.eigvals(m.to_dense())))
+
+
 def test_eigenvalue_multiset_flip_invariant():
     rng = np.random.default_rng(11)
     for seed in range(50):
@@ -156,10 +176,3 @@ def test_distinct_count_tolerance_dependence():
 def test_distinct_count_coalescence_detection():
     assert distinct_count(eigenvalues(build(legacy(10, 0.0, 2.0)))) == 5
     assert distinct_count(eigenvalues(build(legacy(10, 0.0, 1.5)))) == 10
-
-
-def test_iterations_recorded_per_eigenvalue():
-    s = spectrum(build(legacy(10, 0.0, 1.5)))
-    assert len(s.iterations) == 10
-    assert all(it >= 0 for it in s.iterations)
-    assert s.iterations.sum() > 0
