@@ -14,7 +14,7 @@ j+1 through bond j); arrays are 0-based as usual.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -164,29 +164,11 @@ class ChainSpec:
 
     def with_central(self, central: CentralBlock) -> "ChainSpec":
         """Copy of this spec with a different central block."""
-        return ChainSpec(
-            k=self.k,
-            a=self.a,
-            b=self.b,
-            c=self.c,
-            central=central,
-            flip_mask=self.flip_mask,
-            edge_beta=self.edge_beta,
-            meta=dict(self.meta),
-        )
+        return replace(self, central=central, meta=dict(self.meta))
 
     def with_flip_mask(self, flip_mask: Sequence[bool]) -> "ChainSpec":
         """Copy of this spec with a different bond-orientation mask."""
-        return ChainSpec(
-            k=self.k,
-            a=self.a,
-            b=self.b,
-            c=self.c,
-            central=self.central,
-            flip_mask=tuple(flip_mask),
-            edge_beta=self.edge_beta,
-            meta=dict(self.meta),
-        )
+        return replace(self, flip_mask=tuple(flip_mask), meta=dict(self.meta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,6 +419,10 @@ class SymmetryReport:
     violating_sites: tuple[int, ...] = ()
 
 
+def _positions(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(j) + 1 for j in np.flatnonzero(mask))
+
+
 def check_symmetry(m: TridiagonalMatrix, rtol: float = 1e-9) -> SymmetryReport:
     """Classify the off-center mirror symmetry of a tridiagonal matrix.
 
@@ -452,27 +438,17 @@ def check_symmetry(m: TridiagonalMatrix, rtol: float = 1e-9) -> SymmetryReport:
     scale = max(1.0, m.inf_norm())
     tol = rtol * scale
 
-    bad_sites = []
-    for j in range(1, k):  # site j mirrors site L+1-j
-        if abs(m.diag[j - 1] - m.diag[L - j]) > tol:
-            bad_sites.append(j)
-
-    bad_bonds = []
-    exact = True
-    for j in range(1, k):  # bond j mirrors bond L-j
-        up_l, lo_l = m.upper[j - 1], m.lower[j - 1]
-        up_r, lo_r = m.upper[L - j - 1], m.lower[L - j - 1]
-        # the mirror image of an upper entry is a lower entry
-        if abs(up_l - lo_r) > tol or abs(lo_l - up_r) > tol:
-            exact = False
-        if abs(up_l * lo_l - up_r * lo_r) > tol * scale:
-            bad_bonds.append(j)
-
-    if bad_sites or bad_bonds:
-        return SymmetryReport("none", tuple(bad_bonds), tuple(bad_sites))
-    if exact:
-        return SymmetryReport("exact_offcenter")
-    return SymmetryReport("generalized_offcenter")
+    # sites 1..k-1 against sites L..k+2, bonds 1..k-1 against bonds L-1..k+1
+    bad_sites = np.abs(m.diag[: k - 1] - m.diag[:k:-1]) > tol
+    up_l, lo_l = m.upper[: k - 1], m.lower[: k - 1]
+    up_r, lo_r = m.upper[: k - 1 : -1], m.lower[: k - 1 : -1]
+    bad_bonds = np.abs(up_l * lo_l - up_r * lo_r) > tol * scale
+    if bad_sites.any() or bad_bonds.any():
+        return SymmetryReport("none", _positions(bad_bonds), _positions(bad_sites))
+    # the mirror image of an upper entry is a lower entry
+    if (np.abs(up_l - lo_r) > tol).any() or (np.abs(lo_l - up_r) > tol).any():
+        return SymmetryReport("generalized_offcenter")
+    return SymmetryReport("exact_offcenter")
 
 
 # ---------------------------------------------------------------------------

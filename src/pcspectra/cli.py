@@ -15,10 +15,9 @@ failed certification is data, not an error), 1 for invalid
 configuration, 2 for numerical failure.  CSV output is RFC 4180 with a
 header row; floats use the shortest round-trip decimal form.
 
-Sweeps fan out over a process pool (--workers, overridden by the
-PC_SPECTRA_WORKERS environment variable).  Grid points are computed
-independently and merged in grid order, so the output bytes do not
-depend on the worker count.
+Every run computes in one process.  --workers and the PC_SPECTRA_WORKERS
+environment variable (which overrides it) are still validated, since
+scripts pass them, but they have no effect on the work or its output.
 """
 from __future__ import annotations
 
@@ -34,7 +33,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
 from typing import Any, Sequence
 
@@ -220,48 +218,6 @@ def _json_ready(value):
 
 
 # ---------------------------------------------------------------------------
-# worker fan-out (functions must be module-level so they pickle by reference)
-
-
-def _map_grid(chunk_fn, config: RunConfig, values: np.ndarray) -> list:
-    """Rows of ``chunk_fn(config, chunk)`` over contiguous grid chunks, in grid order."""
-    chunks = np.array_split(values, min(config.workers, len(values)))
-    fn = functools.partial(chunk_fn, config)
-    if len(chunks) == 1:
-        parts = [fn(chunks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(fn, chunks))
-    return [row for part in parts for row in part]
-
-
-def _nonortho_chunk(config: RunConfig, values: np.ndarray) -> list[tuple]:
-    builder = functools.partial(_family_target, config.family, config.params, "gamma")
-    return [astuple(nonortho.sweep_point(builder, float(g), config.tol_distinct))
-            for g in values]
-
-
-def _sweep_chunk(config: RunConfig, values: np.ndarray) -> list[tuple]:
-    rows = []
-    for v in values:
-        target = _family_target(config.family, config.params, config.sweep_param, float(v))
-        result = verify_pc(target, tol_certify=config.tol_certify,
-                           tol_distinct=config.tol_distinct)
-        n = distinct_count(eigenvalues(chain.as_matrix(target)), config.tol_distinct)
-        rows.append((float(v), n, result.certified, result.residual))
-    return rows
-
-
-def _dynamics_chunk(config: RunConfig, values: np.ndarray) -> list[tuple]:
-    result = dynamics.min_norm_gamma(
-        functools.partial(_family_target, config.family, config.params, "gamma"),
-        values, kind=config.state.replace("-", "_"), t_final=config.t_final,
-        dt=config.dt, j0=config.j0, sigma=config.sigma, p=config.p,
-    )
-    return result.rows
-
-
-# ---------------------------------------------------------------------------
 # subcommand implementations
 
 
@@ -341,8 +297,9 @@ def _run_nonortho(config: RunConfig) -> dict:
     values = np.linspace(*config.grid)
     if len(values) < 2:
         raise _CliError("--gamma-grid needs at least two points")
-    _single_target(config, float(values[0]))
-    rows = _map_grid(_nonortho_chunk, config, values)
+    points = nonortho.sweep_nonortho(functools.partial(_single_target, config), values,
+                                     config.tol_distinct)
+    rows = [astuple(point) for point in points]
     out = config.out or "nonortho.csv"
     _write_csv(out, ("gamma", "f1", "f2", "distinct_count"), rows)
     best = max(rows, key=lambda r: r[2])
@@ -379,7 +336,11 @@ def _run_dynamics(config: RunConfig) -> dict:
         _write_csv(out, ("gamma", "t", "norm"), rows)
         return {**summary, "gamma_star": config.gamma, "n_min": n_final}
 
-    all_rows = _map_grid(_dynamics_chunk, replace(config, t_final=t_final), values)
+    all_rows = dynamics.min_norm_gamma(
+        functools.partial(_single_target, config), values,
+        kind=config.state.replace("-", "_"), t_final=t_final,
+        dt=config.dt, j0=config.j0, sigma=config.sigma, p=config.p,
+    ).rows
     nudged = [(g, ge) for g, ge, _ in all_rows if ge != g]
     star = min(all_rows, key=lambda r: r[2])
     rows = [(g, t_final, n) for g, _, n in all_rows]
@@ -396,9 +357,13 @@ def _run_sweep(config: RunConfig) -> dict:
         raise _CliError("sweep needs --grid start:stop:points")
     if config.spec_path is not None:
         raise _CliError("sweep varies a family parameter and therefore needs --family")
-    values = np.linspace(*config.grid)
-    _family_target(config.family, config.params, config.sweep_param, float(values[0]))
-    rows = _map_grid(_sweep_chunk, config, values)
+    rows = []
+    for v in np.linspace(*config.grid):
+        target = _family_target(config.family, config.params, config.sweep_param, float(v))
+        result = verify_pc(target, tol_certify=config.tol_certify,
+                           tol_distinct=config.tol_distinct)
+        n = distinct_count(eigenvalues(chain.as_matrix(target)), config.tol_distinct)
+        rows.append((float(v), n, result.certified, result.residual))
     out = config.out or "sweep.csv"
     _write_csv(out, (config.sweep_param, "distinct_count", "certified", "residual"), rows)
     return {
@@ -547,8 +512,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (preset-run: output directory)")
     parser.add_argument("--seed", type=int, help="base RNG seed")
     parser.add_argument("--workers", type=int,
-                        help="process-pool size for sweeps "
-                             "(PC_SPECTRA_WORKERS overrides)")
+                        help="accepted for compatibility and checked to be at "
+                             "least 1; has no effect (PC_SPECTRA_WORKERS overrides)")
     parser.add_argument("--tol-distinct", type=float,
                         help="clustering tolerance for distinct eigenvalues")
     parser.add_argument("--tol-certify", type=float,

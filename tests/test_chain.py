@@ -197,6 +197,23 @@ def test_check_symmetry_classifies():
     assert 1 in report.violating_bonds
 
 
+@pytest.mark.parametrize("part", ["site", "bond"])
+@pytest.mark.parametrize("j", [1, 2, 4])
+@pytest.mark.parametrize("right_half", [False, True])
+def test_check_symmetry_names_the_broken_position(part, j, right_half):
+    # k = 5: off-center sites and bonds 1..4 mirror sites 10..7 and bonds 9..6
+    m = build(random_spec(5, seed=3))
+    d, up = m.diag.copy(), m.upper.copy()
+    if part == "site":
+        d[m.L - j if right_half else j - 1] += 0.5
+    else:
+        up[m.L - j - 1 if right_half else j - 1] *= 2.0  # changes the bond product
+    report = check_symmetry(TridiagonalMatrix(d, up, m.lower))
+    assert report.status == "none"
+    assert report.violating_sites == ((j,) if part == "site" else ())
+    assert report.violating_bonds == ((j,) if part == "bond" else ())
+
+
 def test_check_symmetry_ignores_central_entries():
     # central sites/bond never count as violations, whatever the block is
     spec = random_spec(4, seed=9, central=CentralBlock(0.3, 1.7, 0.2, 0.9))

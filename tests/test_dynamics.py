@@ -139,6 +139,28 @@ def test_absorbing_chain_norm_never_grows():
         assert np.all(np.diff(tr.norms) <= 1e-9)
 
 
+def test_unstable_step_on_absorbing_chain_raises():
+    # dt = 2 puts the top of the band (|lambda| ~ 2) outside RK4's stability region
+    lossy = lambda g: TridiagonalMatrix(np.full(10, -1j * g), np.ones(9), np.ones(9))  # noqa: E731
+    for grid in ([0.1, 0.2], [-0.1, 0.1, 0.2]):  # a gain chain leaves the others guarded
+        with pytest.raises(RuntimeError, match="dt is too large"):
+            min_norm_gamma(lossy, grid, t_final=20.0, dt=2.0)
+    # the slowest eigenmode decays over two steps; only the operator shows the growth
+    s = spectrum(lossy(0.1))
+    v = s.eigenvectors[:, np.argmin(np.abs(s.eigenvalues.real))]
+    with pytest.raises(RuntimeError, match="step operator"):
+        evolve(lossy(0.1), v / np.linalg.norm(v), 4.0, dt=2.0)
+
+
+@pytest.mark.parametrize("gamma", [3.0, 6.0])
+def test_long_absorbing_evolution_does_not_trip_guard(gamma):
+    # at gamma = 6, ||P||_2 - 1 = 1.9e-11, so the bound ||P||^N over these
+    # 60000 steps would exceed the 1e-6 slack; every power P^(2^j) is contractive
+    m = build(family_b(200, 1.0, 1.5, 0.0, gamma))
+    out = evolve(m, gaussian_packet(200, 50.0, 25.0, np.pi / 4.0), 600.0, dt=0.01)
+    assert 0.0 < out.norm() < 1.0
+
+
 def test_norm_trace_fields():
     m = build(legacy(6, 0.0, 1.5))
     tr = norm_trace(m, uniform_site(6), 0.055, dt=0.01)
