@@ -14,8 +14,8 @@ j+1 through bond j); arrays are 0-based as usual.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,26 +58,16 @@ class CentralBlock:
     delta_lower: complex
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "gamma", "delta_upper", "delta_lower"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, complex(getattr(self, f.name)))
 
     @property
     def is_restricted(self) -> bool:
         """True when alpha, gamma are real and the hoppings are equal and real."""
-        scale = max(
-            1.0,
-            abs(self.alpha),
-            abs(self.gamma),
-            abs(self.delta_upper),
-            abs(self.delta_lower),
-        )
-        return (
-            abs(self.alpha.imag) <= _REAL_TOL * scale
-            and abs(self.gamma.imag) <= _REAL_TOL * scale
-            and abs(self.delta_upper.imag) <= _REAL_TOL * scale
-            and abs(self.delta_lower.imag) <= _REAL_TOL * scale
-            and abs(self.delta_upper - self.delta_lower) <= _REAL_TOL * scale
-        )
+        entries = [getattr(self, f.name) for f in fields(self)]
+        tol = _REAL_TOL * max(1.0, *map(abs, entries))
+        return (all(abs(z.imag) <= tol for z in entries)
+                and abs(self.delta_upper - self.delta_lower) <= tol)
 
 
 def pc_delta(alpha: float, gamma: float, sign: int = 1) -> float:
@@ -220,49 +210,41 @@ def build(spec: ChainSpec) -> TridiagonalMatrix:
 
     All Hamiltonian terms carry a global minus sign: hoppings enter as
     H[j,j+1] = -b_j etc., on-site coefficients as H[j,j] = -a_j, and the
-    central potentials as -i*alpha, -i*gamma.
+    central potentials as -i*alpha, -i*gamma.  Each array is the left arm,
+    the central block, then the left arm reversed: site j mirrors site
+    L+1-j, and bond j (b above the diagonal) mirrors bond L-j (b below).
     """
-    k = spec.k
-    L = spec.L
-    diag = np.zeros(L, dtype=complex)
-    upper = np.zeros(L - 1, dtype=complex)
-    lower = np.zeros(L - 1, dtype=complex)
-
-    # off-center sites: site j (1-based, j <= k-1) and its mirror L+1-j
-    for j in range(1, k):
-        diag[j - 1] = -spec.a[j - 1]
-        diag[L - j] = -spec.a[j - 1]
-    diag[k - 1] = -1j * spec.central.alpha
-    diag[k] = -1j * spec.central.gamma
+    k, blk = spec.k, spec.central
+    a = [-z for z in spec.a]
+    b = [-z for z in spec.b]
+    c = [-z for z in spec.c]
+    diag = a + [-1j * blk.alpha, -1j * blk.gamma] + a[::-1]
     diag[0] += -1j * spec.edge_beta
-    diag[L - 1] += -1j * spec.edge_beta
-
-    # off-center bonds; bond j couples sites (j, j+1).
-    for j in range(1, k):
-        bj, cj = -spec.b[j - 1], -spec.c[j - 1]
-        # left bond j: unflipped orientation puts b on the upper subdiagonal
-        if spec.flip_mask[j - 1]:
-            upper[j - 1], lower[j - 1] = cj, bj
-        else:
-            upper[j - 1], lower[j - 1] = bj, cj
-        # mirror bond L-j couples sites (L-j, L-j+1); the exact mirror image
-        # of the left bond puts b on the lower subdiagonal there.
-        p = k - j  # distance from the center; mirror bond is bond k+p
-        m_idx = (k - 1) + (p - 1)
-        if spec.flip_mask[m_idx]:
-            upper[L - j - 1], lower[L - j - 1] = bj, cj
-        else:
-            upper[L - j - 1], lower[L - j - 1] = cj, bj
-
-    # central bond k
-    upper[k - 1] = -spec.central.delta_upper
-    lower[k - 1] = -spec.central.delta_lower
+    diag[-1] += -1j * spec.edge_beta
+    upper = b + [-blk.delta_upper] + c[::-1]
+    lower = c + [-blk.delta_lower] + b[::-1]
+    # flip_mask entries run in bond order on both sides of the central bond
+    flip = spec.flip_mask[: k - 1] + (False,) + spec.flip_mask[k - 1 :]
+    for i, f in enumerate(flip):
+        if f:
+            upper[i], lower[i] = lower[i], upper[i]
     return TridiagonalMatrix(diag, upper, lower)
 
 
 def as_matrix(target: ChainSpec | TridiagonalMatrix) -> TridiagonalMatrix:
     """The matrix of a chain given either as a ChainSpec or already built."""
     return build(target) if isinstance(target, ChainSpec) else target
+
+
+def _arms(L: int, period: int, bond: Callable[[int], float], central: CentralBlock, family: str,
+          edge_beta: complex = 0j) -> ChainSpec:
+    """Chain of length L with zero off-center potentials and symmetric bond j = bond(j)."""
+    if L % period != 0 or L < period:
+        raise ValueError(f"L must be a positive multiple of {period}, got {L}")
+    k = L // 2
+    arm = tuple(complex(bond(j)) for j in range(1, k))
+    return ChainSpec(k=k, a=(0j,) * (k - 1), b=arm, c=arm, central=central,
+                     edge_beta=edge_beta, meta={"family": family, "seed": None})
 
 
 def family_a(L: int, alpha: float, gamma: float, delta: float, beta: complex = 0j) -> ChainSpec:
@@ -273,19 +255,7 @@ def family_a(L: int, alpha: float, gamma: float, delta: float, beta: complex = 0
     hopping delta; an optional -i*beta sits on both edge sites.  The
     spectrum pairs up when delta = +/-(gamma - alpha)/2.
     """
-    if L % 2 != 0 or L < 2:
-        raise ValueError(f"L must be even and >= 2, got {L}")
-    k = L // 2
-    ones = (1.0 + 0j,) * (k - 1)
-    return ChainSpec(
-        k=k,
-        a=(0j,) * (k - 1),
-        b=ones,
-        c=ones,
-        central=CentralBlock(alpha, gamma, delta, delta),
-        edge_beta=beta,
-        meta={"family": "A", "seed": None},
-    )
+    return _arms(L, 2, lambda j: 1.0, CentralBlock(alpha, gamma, delta, delta), "A", beta)
 
 
 def family_b(L: int, J1: float, J2: float, alpha: float, gamma: float) -> ChainSpec:
@@ -296,19 +266,10 @@ def family_b(L: int, J1: float, J2: float, alpha: float, gamma: float) -> ChainS
     With alpha = 0 the spectrum pairs up at gamma = 2 * (central bond
     strength).
     """
-    if L % 2 != 0 or L < 2:
-        raise ValueError(f"L must be even and >= 2, got {L}")
-    k = L // 2
-    strengths = tuple(complex(J1 if j % 2 == 1 else J2) for j in range(1, k))
-    central_J = J2 if k % 2 == 0 else J1
-    return ChainSpec(
-        k=k,
-        a=(0j,) * (k - 1),
-        b=strengths,
-        c=strengths,
-        central=CentralBlock(alpha, gamma, central_J, central_J),
-        meta={"family": "B", "seed": None},
-    )
+    def bond(j: int) -> float:
+        return J1 if j % 2 == 1 else J2
+
+    return _arms(L, 2, bond, CentralBlock(alpha, gamma, bond(L // 2), bond(L // 2)), "B")
 
 
 def family_c(L: int, J1: float, J2: float, Jc: float, alpha: float, gamma: float) -> ChainSpec:
@@ -318,18 +279,7 @@ def family_c(L: int, J1: float, J2: float, Jc: float, alpha: float, gamma: float
     The central bond strength is an independent parameter Jc; the spectrum
     pairs up at gamma = alpha +/- 2*Jc.
     """
-    if L % 6 != 0 or L < 6:
-        raise ValueError(f"L must be a positive multiple of 6, got {L}")
-    k = L // 2
-    strengths = tuple(complex(J2 if j % 3 == 0 else J1) for j in range(1, k))
-    return ChainSpec(
-        k=k,
-        a=(0j,) * (k - 1),
-        b=strengths,
-        c=strengths,
-        central=CentralBlock(alpha, gamma, Jc, Jc),
-        meta={"family": "C", "seed": None},
-    )
+    return _arms(L, 6, lambda j: J2 if j % 3 == 0 else J1, CentralBlock(alpha, gamma, Jc, Jc), "C")
 
 
 def family_d(L: int, gamma1: float, gamma2: float, gamma3: float) -> TridiagonalMatrix:
@@ -363,9 +313,7 @@ def legacy(L: int, alpha: float, gamma: float) -> ChainSpec:
     Equivalent to family_a with delta = 1 and no edge potential; pairwise
     coalescence occurs at gamma = alpha + 2.
     """
-    spec = family_a(L, alpha, gamma, 1.0, 0j)
-    spec.meta["family"] = "legacy"
-    return spec
+    return _arms(L, 2, lambda j: 1.0, CentralBlock(alpha, gamma, 1.0, 1.0), "legacy")
 
 
 def random_spec(
@@ -468,25 +416,14 @@ def _j2c(pair: Sequence[float]) -> complex:
 
 def spec_to_json(spec: ChainSpec) -> str:
     """Serialize a ChainSpec to its canonical JSON document."""
-    meta = {"family": spec.meta.get("family"), "seed": spec.meta.get("seed")}
-    for key, value in spec.meta.items():
-        if key not in meta:
-            meta[key] = value
-    doc = {
-        "k": spec.k,
-        "a": [_c2j(z) for z in spec.a],
-        "b": [_c2j(z) for z in spec.b],
-        "c": [_c2j(z) for z in spec.c],
-        "flip_mask": list(spec.flip_mask),
-        "central": {
-            "alpha": _c2j(spec.central.alpha),
-            "gamma": _c2j(spec.central.gamma),
-            "delta_upper": _c2j(spec.central.delta_upper),
-            "delta_lower": _c2j(spec.central.delta_lower),
-        },
-        "edge_beta": _c2j(spec.edge_beta),
-        "meta": meta,
-    }
+    doc = {name: [_c2j(z) for z in getattr(spec, name)] for name in "abc"}
+    doc.update(
+        k=spec.k,
+        flip_mask=list(spec.flip_mask),
+        central={f.name: _c2j(getattr(spec.central, f.name)) for f in fields(CentralBlock)},
+        edge_beta=_c2j(spec.edge_beta),
+        meta={"family": None, "seed": None, **spec.meta},
+    )
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -497,15 +434,8 @@ def spec_from_json(text: str) -> ChainSpec:
         central = doc["central"]
         return ChainSpec(
             k=int(doc["k"]),
-            a=tuple(_j2c(p) for p in doc["a"]),
-            b=tuple(_j2c(p) for p in doc["b"]),
-            c=tuple(_j2c(p) for p in doc["c"]),
-            central=CentralBlock(
-                _j2c(central["alpha"]),
-                _j2c(central["gamma"]),
-                _j2c(central["delta_upper"]),
-                _j2c(central["delta_lower"]),
-            ),
+            **{name: tuple(_j2c(p) for p in doc[name]) for name in "abc"},
+            central=CentralBlock(*(_j2c(central[f.name]) for f in fields(CentralBlock))),
             flip_mask=tuple(bool(x) for x in doc["flip_mask"]),
             edge_beta=_j2c(doc["edge_beta"]),
             meta=dict(doc.get("meta") or {}),

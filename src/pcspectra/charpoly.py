@@ -30,6 +30,7 @@ from functools import reduce
 import numpy as np
 
 from .chain import ChainSpec, TridiagonalMatrix, as_matrix, build, ep_residual
+from .eig import cluster, cluster_members, eigenvalues
 
 __all__ = [
     "Poly", "VerificationResult", "principal_minors", "transfer_T", "transfer_A",
@@ -162,22 +163,18 @@ def verify_at_relation(spec: ChainSpec) -> float:
     return max(r1, r2)
 
 
-def _unit_minors(m: TridiagonalMatrix, unit_norm: bool = True) -> tuple[list[Poly], float]:
-    """(minors of H/s, s) with s = ||H||_inf if ``unit_norm`` else 1.
+def _unit_minors(m: TridiagonalMatrix) -> tuple[list[Poly], float]:
+    """(minors of H/s, s) with s = ||H||_inf.
 
     The minors of H/s are P_n(s*lambda)/s^n, so relative residuals taken on
     them do not change under H -> cH, and their coefficients cannot overflow.
     """
-    s = (m.inf_norm() or 1.0) if unit_norm else 1.0
+    s = m.inf_norm() or 1.0
     return principal_minors(TridiagonalMatrix(m.diag / s, m.upper / s, m.lower / s)), s
 
 
-def _square_pair(spec: ChainSpec, unit_norm: bool) -> tuple[Poly, Poly]:
-    """(F, P_L) of H/s from one minors pass: F = P_k + i*(gamma - alpha)/(2s) * P_{k-1}.
-
-    s = ||H||_inf if ``unit_norm`` else 1 (see ``_unit_minors``).
-    """
-    ps, s = _unit_minors(build(spec), unit_norm)
+def _square_pair(spec: ChainSpec, ps: list[Poly], s: float) -> tuple[Poly, Poly]:
+    """(F, P_L) from the minors ``ps`` of H/s: F = P_k + i*(gamma - alpha)/(2s) * P_{k-1}."""
     blk, k = spec.central, spec.k
     return ps[k] + 1j * (blk.gamma - blk.alpha) / (2.0 * s) * ps[k - 1], ps[2 * k]
 
@@ -198,7 +195,7 @@ def square_factor(spec: ChainSpec) -> Poly:
             "central block is not at its exceptional point "
             f"(residual {ep_residual(blk):.3e}); no square factor exists"
         )
-    return _square_pair(spec, unit_norm=False)[0]
+    return _square_pair(spec, principal_minors(build(spec)), 1.0)[0]
 
 
 @dataclass(frozen=True)
@@ -238,14 +235,11 @@ def verify_pc(
     m-fold coalescence.
     """
     if isinstance(target, ChainSpec) and target.central.is_restricted:
-        F, pl = _square_pair(target, unit_norm=True)
+        F, pl = _square_pair(target, *_unit_minors(build(target)))
         residual = (pl - F * F).norm() / pl.norm()
         return VerificationResult("symbolic", float(residual), residual < tol_certify)
 
-    matrix = as_matrix(target)
-    from .eig import cluster_members, eigenvalues
-
-    eigs = eigenvalues(matrix)
+    eigs = eigenvalues(as_matrix(target))
     for scale in (tol_distinct, 10 * tol_distinct, 100 * tol_distinct):
         groups = cluster_members(eigs, scale)
         if all(len(g) % 2 == 0 for g in groups):
@@ -271,8 +265,6 @@ def verify_power(m: TridiagonalMatrix, order: int, tol: float = 1e-5) -> bool:
     """
     if order not in (2, 4, 8):
         raise ValueError(f"order must be 2, 4, or 8, got {order}")
-    from .eig import cluster, eigenvalues
-
     eigs = eigenvalues(m)
     groups = cluster(eigs, tol)
     if any(mult % order != 0 for _, mult in groups):

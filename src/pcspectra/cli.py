@@ -16,8 +16,9 @@ configuration, 2 for numerical failure.  CSV output is RFC 4180 with a
 header row; floats use the shortest round-trip decimal form.
 
 Every run computes in one process.  --workers and the PC_SPECTRA_WORKERS
-environment variable (which overrides it) are still validated, since
-scripts pass them, but they have no effect on the work or its output.
+environment variable (which overrides it) are still accepted, since
+scripts pass them.  Each must be an integer of at least 1; it is then
+discarded, so no RunConfig field holds it and it cannot change the output.
 """
 from __future__ import annotations
 
@@ -95,7 +96,6 @@ class RunConfig:
     tol_certify: float = 1e-8
     out: str | None = None
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         sources = [self.family is not None, self.spec_path is not None,
@@ -106,8 +106,6 @@ class RunConfig:
             raise _CliError("grid must have at least one point")
         if not all(0 < t < math.inf for t in (self.tol_distinct, self.tol_certify)):
             raise _CliError("tolerances must be finite and positive")
-        if self.workers < 1:
-            raise _CliError("worker count must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +377,13 @@ def _run_sweep(config: RunConfig) -> dict:
 # presets
 
 
-def preset(name: str, small: bool = False, seed: int = 0, workers: int = 1,
+def preset(name: str, small: bool = False, seed: int = 0,
            out: str | None = None) -> RunConfig:
     """Config reproducing one of the reference datasets by name."""
     if name not in _PRESETS:
         raise _CliError(f"unknown preset {name!r}; choose from {', '.join(_PRESETS)}")
     return RunConfig(
-        subcommand="preset-run", preset_name=name, small=small, seed=seed,
-        workers=workers, out=out,
+        subcommand="preset-run", preset_name=name, small=small, seed=seed, out=out,
     )
 
 
@@ -512,8 +509,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (preset-run: output directory)")
     parser.add_argument("--seed", type=int, help="base RNG seed")
     parser.add_argument("--workers", type=int,
-                        help="accepted for compatibility and checked to be at "
-                             "least 1; has no effect (PC_SPECTRA_WORKERS overrides)")
+                        help="accepted for compatibility: checked to be at least 1, "
+                             "then ignored (PC_SPECTRA_WORKERS overrides)")
     parser.add_argument("--tol-distinct", type=float,
                         help="clustering tolerance for distinct eigenvalues")
     parser.add_argument("--tol-certify", type=float,
@@ -609,8 +606,12 @@ def _build_parser() -> _Parser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     # flags left unset take the RunConfig defaults
     fields = {k: v for k, v in vars(args).items() if v is not None}
+    # --workers and PC_SPECTRA_WORKERS (which overrides it) are checked, not kept
+    workers = fields.pop("workers", 1)
     if "PC_SPECTRA_WORKERS" in os.environ:
-        fields["workers"] = int(os.environ["PC_SPECTRA_WORKERS"])
+        workers = int(os.environ["PC_SPECTRA_WORKERS"])
+    if workers < 1:
+        raise _CliError("worker count must be at least 1")
     # Every family flag given, not just the selected family's, so strays like
     # --J1 with family legacy, or a fixed value for the swept parameter, are
     # rejected downstream.

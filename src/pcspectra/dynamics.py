@@ -341,11 +341,13 @@ def min_norm_gamma(
         states = []
         for i, g in enumerate(grid):
             s = spectrum(mats[i])
-            if s.min_basis_singular_value() < _DEFECTIVE_SV:
+            try:
+                state = uniform_eigen(s)
+            except ValueError:  # defective eigenbasis: detune and rebuild
                 effective[i] = g + _DEFECTIVE_NUDGE
                 mats[i] = as_matrix(builder(effective[i]))
-                s = spectrum(mats[i])
-            states.append(uniform_eigen(s).amplitudes)
+                state = uniform_eigen(spectrum(mats[i]))
+            states.append(state.amplitudes)
 
     H = np.stack([m.to_dense() for m in mats])
     absorbing = np.array([_is_absorbing(m.diag, m.upper, m.lower) for m in mats])

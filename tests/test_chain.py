@@ -181,6 +181,22 @@ def test_flip_mask_swaps_bond_direction():
     assert m0.upper[0] * m0.lower[0] == pytest.approx(m1.upper[0] * m1.lower[0])
 
 
+@pytest.mark.parametrize("entry", range(6))
+def test_each_flip_mask_entry_exchanges_only_its_own_bond(entry):
+    # k = 4: entries 0..2 are bonds 1..3, entries 3..5 are bonds 5..7 in bond order
+    spec = random_spec(4, seed=11)
+    mask = [False] * 6
+    mask[entry] = True
+    m0, m1 = build(spec.with_flip_mask((False,) * 6)), build(spec.with_flip_mask(mask))
+    bond = entry if entry < 3 else entry + 1  # 0-based index into upper/lower
+    assert m1.upper[bond] == m0.lower[bond] and m1.lower[bond] == m0.upper[bond]
+    assert m1.upper[bond] != m1.lower[bond]
+    rest = np.arange(7) != bond
+    assert m1.diag.tobytes() == m0.diag.tobytes()
+    assert m1.upper[rest].tobytes() == m0.upper[rest].tobytes()
+    assert m1.lower[rest].tobytes() == m0.lower[rest].tobytes()
+
+
 def test_check_symmetry_classifies():
     spec = random_spec(5, seed=3)
     mirror = build(spec.with_flip_mask((False,) * 8))
@@ -229,6 +245,25 @@ def test_spec_json_round_trip_is_canonical():
     assert np.allclose(again.a, spec.a)
     assert np.allclose(again.b, spec.b)
     assert again.central.alpha == spec.central.alpha
+
+
+@pytest.mark.parametrize("spec, text", [
+    (family_a(4, 0.5, 1.5, 0.5, 0.25 - 0.5j).with_flip_mask((True, False)),
+     '{"a":[[0.0,0.0]],"b":[[1.0,0.0]],"c":[[1.0,0.0]],"central":{"alpha":[0.5,0.0],'
+     '"delta_lower":[0.5,0.0],"delta_upper":[0.5,0.0],"gamma":[1.5,0.0]},'
+     '"edge_beta":[0.25,-0.5],"flip_mask":[true,false],"k":2,'
+     '"meta":{"family":"A","seed":null}}'),
+    (random_spec(3, 9),
+     '{"a":[[-0.8028369359828766,-1.656345427042233],[0.2428499070790021,0.656104877556666]],'
+     '"b":[[1.1434530226920894,0.4304857455543092],[-0.45261100300789897,0.25093256908418204]],'
+     '"c":[[-0.3943520554588936,-2.032552427456725],[-0.8624048655156082,1.4104234840116703]],'
+     '"central":{"alpha":[0.0,0.0],"delta_lower":[0.0,0.0],"delta_upper":[0.0,0.0],'
+     '"gamma":[0.0,0.0]},"edge_beta":[0.0,0.0],"flip_mask":[false,false,true,true],"k":3,'
+     '"meta":{"family":"random","rng":"PCG64","seed":9}}'),
+])
+def test_spec_json_document_is_pinned(spec, text):
+    assert spec_to_json(spec) == text
+    assert spec_to_json(spec_from_json(text)) == text
 
 
 def test_spec_json_rejects_missing_fields():

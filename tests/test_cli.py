@@ -54,7 +54,7 @@ def test_spectrum_off_coalescence_all_singletons(tmp_path, capsys):
     assert summary["distinct"] == 10
 
 
-def test_invalid_usage_exits_one(tmp_path, capsys):
+def test_invalid_usage_exits_one(tmp_path, capsys, monkeypatch):
     spec_file = tmp_path / "s.json"
     spec_file.write_text(spec_to_json(random_spec(3, seed=0)))
     bad_argvs = [
@@ -107,9 +107,18 @@ def test_invalid_usage_exits_one(tmp_path, capsys):
         ["sweep", "--family", "b", "--L", "10", "--J1", "9", "--J2", "1", "--alpha", "0",
          "--gamma", "2", "--sweep-param", "J1", "--grid", "0.5:2.5:3"],
     ]
+    # worker counts are validated though no run uses them
+    good = ["spectrum", "--family", "legacy", "--L", "6", "--alpha", "0", "--gamma", "2",
+            "--out", str(tmp_path / "w.csv")]
+    bad_argvs += [good + ["--workers", w] for w in ("0", "-1", "x", "1.5")]
     for argv in bad_argvs:
         assert cli.main(argv) == 1, argv
         capsys.readouterr()
+    for env in ("0", "x", "1.5"):
+        monkeypatch.setenv("PC_SPECTRA_WORKERS", env)
+        assert cli.main(good + ["--workers", "1"]) == 1, env
+        capsys.readouterr()
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):

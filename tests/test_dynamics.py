@@ -15,7 +15,7 @@ from pcspectra.dynamics import (
     uniform_eigen,
     uniform_site,
 )
-from pcspectra.eig import spectrum
+from pcspectra.eig import Spectrum, spectrum
 
 
 def random_matrix(rng, L):
@@ -261,6 +261,24 @@ def test_min_norm_gamma_detunes_defective_points():
     assert effective[2.5] == 2.5
     assert effective[3.5] == 3.5
     assert effective[3.0] == pytest.approx(3.000001)
+
+
+def test_uniform_eigen_scan_takes_one_basis_svd_per_point(monkeypatch):
+    # the defect test runs once per grid point, plus once at each detuned chain
+    calls = []
+    svd = Spectrum.min_basis_singular_value
+
+    def counted(self):
+        calls.append(self.L)
+        return svd(self)
+
+    monkeypatch.setattr(Spectrum, "min_basis_singular_value", counted)
+    grid = [2.0, 2.5, 3.0, 3.5, 4.0]
+    res = min_norm_gamma(lambda g: family_b(10, 1.5, 1.0, 0.0, g), grid,
+                         kind="uniform_eigen", t_final=1.0)
+    detuned = [g for g, g_eff, _ in res.rows if g_eff != g]
+    assert detuned == [3.0]
+    assert len(calls) == len(grid) + len(detuned)
 
 
 def test_min_norm_gamma_validation():
