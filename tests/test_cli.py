@@ -89,6 +89,11 @@ def test_invalid_usage_exits_one(tmp_path, capsys, monkeypatch):
          "--alpha", "0", "--gamma", "3", "--dt", "-0.01"],
         ["dynamics", "--family", "b", "--L", "12", "--J1", "1", "--J2", "1.5",
          "--alpha", "0", "--gamma", "3", "--dt", "0"],
+        # non-finite integrator step and evolution time, single gamma and grid
+        *(["dynamics", "--family", "b", "--L", "12", "--J1", "1", "--J2", "1.5",
+           "--alpha", "0", *target, flag, bad]
+          for target in (["--gamma", "3"], ["--gamma-grid", "2:4:3"])
+          for flag in ("--dt", "--t-final") for bad in ("inf", "nan")),
         # non-finite tolerances
         ["spectrum", "--family", "legacy", "--L", "10", "--alpha", "0", "--gamma", "2",
          "--tol-distinct", "nan"],

@@ -1,12 +1,15 @@
 """Time evolution: initial states, RK4 propagation, norm traces, minimum scans."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from pcspectra.chain import TridiagonalMatrix, build, family_b, legacy
 from pcspectra.dynamics import (
+    _rk4,
     approx_norm,
     evolve,
     gaussian_packet,
@@ -172,6 +175,57 @@ def test_norm_trace_fields():
     assert tr.params["dt"] == 0.01
 
 
+@pytest.mark.parametrize("tail", [False, True])
+@pytest.mark.parametrize("steps", [0, 1, 15, 16, 17, 256, 257])
+def test_norm_trace_matches_per_step_reference(steps, tail):
+    # the blocked trace against a plain loop applying the step operator once per step
+    m = build(family_b(10, 1.5, 1.0, 0.0, 2.5))
+    psi0 = gaussian_packet(10, 2.5, 1.25, np.pi / 4.0)
+    dt = 0.01
+    t = dt * steps + (0.4 * dt if tail else 0.0)
+    tr = norm_trace(m, psi0, t, dt=dt)
+    H = m.to_dense()
+    P = _rk4(H, dt, np.eye(10))
+    psi = psi0.amplitudes
+    ref = [1.0]
+    for _ in range(steps):
+        psi = P @ psi
+        ref.append(np.linalg.norm(psi))
+    times = [dt * k for k in range(steps + 1)]
+    if tail:
+        ref.append(np.linalg.norm(_rk4(H, t - steps * dt, psi)))
+        times.append(t)
+    assert tr.times.tolist() == times
+    np.testing.assert_allclose(tr.norms, ref, rtol=1e-12, atol=0.0)
+    assert tr.norms[-1] == pytest.approx(evolve(m, psi0, t, dt=dt).norm(), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("w, t_raise", [(1e-6, 31.9), (1e-12, 60.9), (1e-20, 95.7)])
+def test_norm_trace_guard_names_first_growing_step(w, t_raise):
+    # a lossy site decoupled from a hopping pair: at dt = 2.9 the pair grows by
+    # |P| = 1.19 per step and the lossy site shrinks, so the norm first grows at
+    # step 11, 21 or 33, past the first block of operator powers
+    m = TridiagonalMatrix(np.array([-0.5j, 0.0, 0.0]), np.array([0.0, 1.0]),
+                          np.array([0.0, 1.0]))
+    psi0 = np.array([1.0, w, 0.0], dtype=complex)
+    with pytest.raises(RuntimeError, match=rf"at t={t_raise:g}; .*dt is too large"):
+        norm_trace(m, psi0 / np.linalg.norm(psi0), 200.0, dt=2.9)
+
+
+def test_norm_trace_memory_stays_small():
+    # a 12000-step trace keeps one block of operator powers, not one state per step
+    m = build(family_b(40, 1.5, 1.0, 0.0, 3.0))
+    psi0 = uniform_site(40)
+    tracemalloc.start()
+    try:
+        tr = norm_trace(m, psi0, 120.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tr.norms) == 12001
+    assert peak < 2 * 1024 * 1024
+
+
 def test_norm_trace_requires_unit_state():
     m = build(legacy(4, 0.0, 1.0))
     with pytest.raises(ValueError):
@@ -183,6 +237,24 @@ def test_norm_trace_rejects_nonpositive_dt():
     for dt in (0.0, -0.01):
         with pytest.raises(ValueError, match="dt must be positive"):
             norm_trace(m, uniform_site(4), 1.0, dt=dt)
+
+
+def test_nonfinite_step_and_time_rejected():
+    m = build(legacy(4, 0.0, 1.0))
+    builder = lambda g: legacy(4, 0.0, g)  # noqa: E731
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(m, uniform_site(4), 1.0, dt=bad)
+        with pytest.raises(ValueError, match="finite"):
+            evolve(m, uniform_site(4), bad)
+        with pytest.raises(ValueError, match="finite"):
+            norm_trace(m, uniform_site(4), 1.0, dt=bad)
+        with pytest.raises(ValueError, match="finite"):
+            norm_trace(m, uniform_site(4), bad)
+        with pytest.raises(ValueError, match="finite"):
+            min_norm_gamma(builder, [1.0, 2.0], t_final=1.0, dt=bad)
+        with pytest.raises(ValueError, match="finite"):
+            min_norm_gamma(builder, [1.0, 2.0], t_final=bad)
 
 
 def test_nonfinite_packet_and_state_rejected():
