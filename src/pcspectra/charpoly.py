@@ -18,6 +18,10 @@ F = (lambda + i*(alpha + gamma)/2) * P_{k-1} - eta_{k-1} * P_{k-2}; this
 library treats that extension as a conjecture and certifies non-restricted
 blocks through the numerical even-multiplicity check instead.
 
+The recurrence fills one lower-triangular (L+1, L+1) coefficient table,
+row n holding P_n in ascending powers; the certificates read its rows as
+arrays, and ``principal_minors`` copies each row into its own Poly.
+
 An independent cross-check, sharing no code with the recurrence, computes
 the characteristic polynomial by the Faddeev-LeVerrier trace recursion.
 """
@@ -92,17 +96,32 @@ class Poly:
         return f"Poly(deg={self.degree})"
 
 
+def _minor_table(d: np.ndarray, u: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Coefficients of P_0 ... P_L in one lower-triangular (L+1, L+1) table.
+
+    Row n holds P_n in ascending powers, zeros above degree n.  Each row is
+    formed exactly as Poly arithmetic would form it, so the coefficients
+    are bitwise those of the recurrence written on Poly.
+    """
+    L = len(d)
+    C = np.zeros((L + 1, L + 1), dtype=complex)
+    C[0, 0] = 1.0
+    C[1, :2] = -d[0], 1.0
+    for n in range(2, L + 1):
+        C[n, :n + 1] += np.convolve(np.array([-d[n - 1], 1.0]), C[n - 1, :n])
+        # array first, product per row: numpy's SIMD loop rounds other orders differently
+        C[n, :n - 1] -= C[n - 2, :n - 1] * complex(u[n - 2] * low[n - 2])
+    return C
+
+
 def principal_minors(m: TridiagonalMatrix) -> list[Poly]:
     """Leading principal minors P_0 ... P_L of lambda*I - H.
 
     P_n is monic of degree n; P_L is the characteristic polynomial.
     """
-    d, u, low = m.diag, m.upper, m.lower
-    minors = [Poly([1.0]), Poly([-d[0], 1.0])]
-    for n in range(2, m.L + 1):
-        lin = Poly([-d[n - 1], 1.0])  # (lambda - d_n)
-        minors.append(lin * minors[n - 1] - u[n - 2] * low[n - 2] * minors[n - 2])
-    return minors
+    C = _minor_table(m.diag, m.upper, m.lower)
+    # copies, not views: a caller that keeps the minors keeps n + 1 entries each
+    return [Poly(C[n, :n + 1].copy()) for n in range(m.L + 1)]
 
 
 def _spec_etas(spec: ChainSpec) -> np.ndarray:
@@ -163,20 +182,26 @@ def verify_at_relation(spec: ChainSpec) -> float:
     return max(r1, r2)
 
 
-def _unit_minors(m: TridiagonalMatrix) -> tuple[list[Poly], float]:
-    """(minors of H/s, s) with s = ||H||_inf.
+def _unit_minors(m: TridiagonalMatrix) -> tuple[np.ndarray, float]:
+    """(minor table of H/s, s) with s = ||H||_inf.
 
     The minors of H/s are P_n(s*lambda)/s^n, so relative residuals taken on
     them do not change under H -> cH, and their coefficients cannot overflow.
     """
     s = m.inf_norm() or 1.0
-    return principal_minors(TridiagonalMatrix(m.diag / s, m.upper / s, m.lower / s)), s
+    return _minor_table(m.diag / s, m.upper / s, m.lower / s), s
 
 
-def _square_pair(spec: ChainSpec, ps: list[Poly], s: float) -> tuple[Poly, Poly]:
-    """(F, P_L) from the minors ``ps`` of H/s: F = P_k + i*(gamma - alpha)/(2s) * P_{k-1}."""
+def _square_pair(spec: ChainSpec, C: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(F, P_L) from the minor table ``C`` of H/s: F = P_k + i*(gamma - alpha)/(2s) * P_{k-1}."""
     blk, k = spec.central, spec.k
-    return ps[k] + 1j * (blk.gamma - blk.alpha) / (2.0 * s) * ps[k - 1], ps[2 * k]
+    c = complex(1j * (blk.gamma - blk.alpha) / (2.0 * s))
+    return C[k, :k + 1] + C[k - 1, :k + 1] * c, C[2 * k]
+
+
+def _rel_residual(p: np.ndarray, ref: np.ndarray) -> float:
+    """Largest coefficient deviation of p from ref, relative to ref's largest."""
+    return float(np.abs(p - ref).max()) / float(np.abs(ref).max())
 
 
 def square_factor(spec: ChainSpec) -> Poly:
@@ -195,7 +220,8 @@ def square_factor(spec: ChainSpec) -> Poly:
             "central block is not at its exceptional point "
             f"(residual {ep_residual(blk):.3e}); no square factor exists"
         )
-    return _square_pair(spec, principal_minors(build(spec)), 1.0)[0]
+    m = build(spec)
+    return Poly(_square_pair(spec, _minor_table(m.diag, m.upper, m.lower), 1.0)[0])
 
 
 @dataclass(frozen=True)
@@ -236,8 +262,8 @@ def verify_pc(
     """
     if isinstance(target, ChainSpec) and target.central.is_restricted:
         F, pl = _square_pair(target, *_unit_minors(build(target)))
-        residual = (pl - F * F).norm() / pl.norm()
-        return VerificationResult("symbolic", float(residual), residual < tol_certify)
+        residual = _rel_residual(np.convolve(F, F), pl)
+        return VerificationResult("symbolic", residual, residual < tol_certify)
 
     eigs = eigenvalues(as_matrix(target))
     for scale in (tol_distinct, 10 * tol_distinct, 100 * tol_distinct):
@@ -270,10 +296,8 @@ def verify_power(m: TridiagonalMatrix, order: int, tol: float = 1e-5) -> bool:
     if any(mult % order != 0 for _, mult in groups):
         return False
     reps = np.repeat([rep for rep, _ in groups], [mult for _, mult in groups])
-    minors, s = _unit_minors(m)
-    rebuilt, char = Poly(np.poly(reps / s)[::-1]), minors[m.L]
-    residual = (rebuilt - char).norm() / char.norm()
-    return residual <= 1e-6
+    C, s = _unit_minors(m)
+    return _rel_residual(np.poly(reps / s)[::-1], C[m.L]) <= 1e-6
 
 
 def charpoly_oracle(m: TridiagonalMatrix) -> Poly:

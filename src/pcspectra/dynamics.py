@@ -199,6 +199,15 @@ def _step_count(t: float, dt: float, name: str) -> tuple[int, float]:
     return steps, t - steps * dt
 
 
+def _require_finite(norms: np.ndarray, times: np.ndarray) -> None:
+    """RuntimeError naming the first time whose norm is not finite."""
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise RuntimeError(f"norm is not finite at t={times[bad[0]]:g}; {_DT_TOO_LARGE}")
+
+
+# an unstable dt overflows the states; that is raised as RuntimeError, not warned
+@np.errstate(over="ignore", invalid="ignore")
 def _propagate(
     H: np.ndarray, psi: np.ndarray, t: float, dt: float, absorbing: np.ndarray
 ) -> np.ndarray:
@@ -208,7 +217,8 @@ def _propagate(
     one shortened step covers the remainder.  On the chains flagged in
     ``absorbing`` every power P^(2^j) formed must have 2-norm at most
     1 + slack, and no final norm may exceed its initial one by more than
-    that factor.  Bounding ||P||^N instead trips falsely at long t.
+    that factor.  Bounding ||P||^N instead trips falsely at long t.  A
+    final state that is not finite raises RuntimeError on any chain.
     """
     steps, rem = _step_count(t, dt, "t")
     n0 = np.linalg.norm(psi, axis=-1)
@@ -231,6 +241,8 @@ def _propagate(
     if rem > 1e-12:
         psi = _rk4(H, rem, psi)
     psi = psi[..., 0]
+    if not np.isfinite(psi).all():
+        raise RuntimeError(f"state is not finite; {_DT_TOO_LARGE}")
     if np.any(absorbing & (np.linalg.norm(psi, axis=-1) > n0 * (1.0 + _GROWTH_SLACK))):
         raise RuntimeError(f"norm grew on an absorbing chain; {_DT_TOO_LARGE}")
     return psi
@@ -255,6 +267,7 @@ def evolve(
     return StateVector(_propagate(m.to_dense()[None], psi[None], t, dt, absorbing)[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def norm_trace(
     m: TridiagonalMatrix,
     psi0: StateVector | np.ndarray,
@@ -266,7 +279,8 @@ def norm_trace(
     The initial state must be normalized (||psi0|| = 1 to 1e-9), so the
     trace always starts at 1.  On purely absorbing chains the first step
     whose norm exceeds the previous one by more than a factor 1 + 1e-6
-    raises RuntimeError naming its time.
+    raises RuntimeError naming its time; on any chain, so does the first
+    norm that is not finite.
     """
     psi = _amplitudes(psi0)
     if len(psi) != m.L:
@@ -300,6 +314,7 @@ def norm_trace(
         # state of step done + j*B + i + 1 is states[i, :, j]
         chunk = np.linalg.norm(states, axis=1).T.ravel()[:count]
         norms[done + 1:done + 1 + count] = chunk
+        _require_finite(chunk, times[done + 1:done + 1 + count])
         if absorbing:
             grew = np.flatnonzero(chunk > norms[done:done + count] * (1.0 + _GROWTH_SLACK))
             if grew.size:
@@ -310,6 +325,7 @@ def norm_trace(
         done += count
     if tail:
         norms[-1] = np.linalg.norm(_rk4(H, rem, psi))
+        _require_finite(norms[-1:], times[-1:])
     return NormTrace(times, norms, {"dt": dt, "t_max": t_max})
 
 

@@ -1,6 +1,8 @@
 """Characteristic-polynomial machinery: minors, transfer matrices, certificates."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from pcspectra.chain import (
     TridiagonalMatrix,
     build,
     family_a,
+    family_b,
     family_d,
     legacy,
     pc_delta,
@@ -134,6 +137,73 @@ def test_minors_keep_monic_degree_at_every_scale(k, seed, sigma, s):
     for n, p in enumerate(minors):
         assert len(p.coeffs) == n + 1
         assert p.coeffs[-1] == 1.0
+
+
+def poly_minors(m: TridiagonalMatrix) -> list[Poly]:
+    """Reference: the three-term recurrence written on Poly arithmetic."""
+    d, u, low = m.diag, m.upper, m.lower
+    minors = [Poly([1.0]), Poly([-d[0], 1.0])]
+    for n in range(2, m.L + 1):
+        minors.append(Poly([-d[n - 1], 1.0]) * minors[n - 1]
+                      - u[n - 2] * low[n - 2] * minors[n - 2])
+    return minors
+
+
+def poly_residual(spec: ChainSpec) -> float:
+    """Reference: the symbolic residual of verify_pc, on Poly arithmetic."""
+    m = build(spec)
+    s = m.inf_norm() or 1.0
+    ps = poly_minors(TridiagonalMatrix(m.diag / s, m.upper / s, m.lower / s))
+    blk, k = spec.central, spec.k
+    F = ps[k] + 1j * (blk.gamma - blk.alpha) / (2.0 * s) * ps[k - 1]
+    return (ps[2 * k] - F * F).norm() / ps[2 * k].norm()
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0, 7.0])
+def test_minors_and_residuals_bitwise_equal_poly_recurrence(sigma):
+    rng = np.random.default_rng(int(10 * sigma))
+    specs = [family_b(40, 30, 20, 0, 40)]
+    for k in range(1, 41):
+        alpha, gamma = rng.normal(size=2)
+        delta = pc_delta(alpha, gamma)
+        for detune in (0.0, 1e-3):
+            blk = CentralBlock(alpha, gamma + detune, delta, delta)
+            spec = (ChainSpec(1, (), (), (), blk) if k == 1
+                    else random_spec(k, int(rng.integers(2**31)), sigma, blk))
+            specs.append(spec)
+            if k % 2:
+                specs.append(spec.with_flip_mask(rng.integers(0, 2, size=2 * k - 2) > 0))
+    specs += [scaled(spec, s) for spec in specs[::4] for s in (1e-6, 1e6)]
+    for spec in specs:
+        m = build(spec)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = principal_minors(m), poly_minors(m)
+        for n, (p, q) in enumerate(zip(got, want)):
+            assert len(p.coeffs) == n + 1 and p.coeffs[-1] == 1.0
+            # long chains at 1e6 scale overflow; where they stay finite, every bit agrees
+            finite = np.isfinite(q.coeffs)
+            assert np.array_equal(np.isfinite(p.coeffs), finite)
+            assert p.coeffs[finite].tobytes() == q.coeffs[finite].tobytes()
+        v = verify_pc(spec)
+        assert v.mode == "symbolic" and type(v.residual) is float
+        assert v.residual == poly_residual(spec)
+
+
+def test_minors_keep_only_their_own_coefficients():
+    # each minor is its own array: views into one (L+1)^2 table would keep
+    # the whole table alive as long as any minor is kept
+    L = 80
+    m = build(random_spec(L // 2, 4))
+    principal_minors(m)
+    tracemalloc.start()
+    try:
+        minors = principal_minors(m)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    coefficients = sum(16 * (n + 1) for n in range(L + 1))
+    assert len(minors) == L + 1
+    assert kept < coefficients + 384 * (L + 1) < 16 * (L + 1) ** 2
 
 
 def test_minors_agree_with_trace_recursion_oracle():

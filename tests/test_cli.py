@@ -137,6 +137,21 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", [["--gamma", "-0.2"], ["--gamma-grid=-0.4:-0.2:3"]])
+def test_overflowing_dynamics_exits_two(tmp_path, capsys, gamma):
+    # a gain chain at an unstable dt: the norms overflow instead of being written as nan
+    out = tmp_path / "d.csv"
+    code = cli.main([
+        "dynamics", "--family", "legacy", "--L", "6", "--alpha", "0", *gamma,
+        "--dt", "2", "--t-final", "4000", "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical failure:") and "not finite" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_lapack_failure_exits_two(tmp_path, capsys, monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -13,6 +13,7 @@ from pcspectra.dynamics import (
     approx_norm,
     evolve,
     gaussian_packet,
+    initial_state,
     min_norm_gamma,
     norm_trace,
     uniform_eigen,
@@ -153,6 +154,24 @@ def test_unstable_step_on_absorbing_chain_raises():
     v = s.eigenvectors[:, np.argmin(np.abs(s.eigenvalues.real))]
     with pytest.raises(RuntimeError, match="step operator"):
         evolve(lossy(0.1), v / np.linalg.norm(v), 4.0, dt=2.0)
+
+
+@pytest.mark.filterwarnings("error")  # the overflow is reported once, as the error
+def test_unstable_step_on_gain_chain_raises():
+    # gain on one central site and dt = 2: the states overflow to nan within
+    # a few hundred steps, and no absorbing-chain guard applies
+    builder = lambda g: legacy(6, 0.0, g)  # noqa: E731
+    m = build(builder(-0.2))
+    psi0 = initial_state("wavepacket", m)
+    with pytest.raises(RuntimeError, match="state is not finite; .*dt is too large"):
+        evolve(m, psi0, 4000.0, dt=2.0)
+    with pytest.raises(RuntimeError, match=r"norm is not finite at t=\d+; .*dt is too large"):
+        norm_trace(m, psi0, 4000.0, dt=2.0)
+    with pytest.raises(RuntimeError, match="not finite; .*dt is too large"):
+        min_norm_gamma(builder, [-0.4, -0.3, -0.2], t_final=4000.0, dt=2.0)
+    # at a stable step the same chain gains norm and is traced to the end
+    tr = norm_trace(m, psi0, 40.0, dt=0.01)
+    assert np.isfinite(tr.norms).all() and tr.norms[-1] > 1.0
 
 
 @pytest.mark.parametrize("gamma", [3.0, 6.0])
