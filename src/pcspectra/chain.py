@@ -288,9 +288,12 @@ def family_d(L: int, gamma1: float, gamma2: float, gamma3: float) -> Tridiagonal
     With m = L/4: unit hoppings everywhere except bond (2m, 2m+1) which has
     strength gamma2; on-site potentials -i*gamma2 at site 2m, +i*gamma2 at
     site 2m+1 (a gain/loss pair), -i*gamma1 at site m and -i*gamma3 at site
-    3m+1.  The central 2x2 block mixes gain and loss, so this model is not
-    expressible as a ChainSpec; the spectrum pairs up whenever
-    gamma1 = gamma3, and quadruples up at special parameter combinations.
+    3m+1.  The central block is always at its exceptional point.  For
+    gamma1 = gamma3 the matrix equals, entry for entry, the build of the
+    ChainSpec with unit arms, a = i*gamma1 at site m and
+    CentralBlock(gamma2, -gamma2, gamma2, gamma2), so the spectrum pairs up;
+    its left half is mirrored about its own center too, and at gamma1 = 2
+    the spectrum quadruples up.
     """
     if L % 4 != 0 or L < 4:
         raise ValueError(f"L must be a positive multiple of 4, got {L}")

@@ -114,12 +114,29 @@ def _minor_table(d: np.ndarray, u: np.ndarray, low: np.ndarray) -> np.ndarray:
     return C
 
 
+def _finite_minor_table(d: np.ndarray, u: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """``_minor_table``, or OverflowError if any coefficient is not finite.
+
+    The coefficients of P_n grow like ||H||^n, so a long chain with a large
+    norm overflows; the certificates work on H/||H|| instead (``_unit_minors``).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = _minor_table(d, u, low)
+    if not np.isfinite(C).all():
+        raise OverflowError(
+            f"the minors P_0 ... P_{len(d)} have non-finite coefficients "
+            "(the chain's norm is too large for their degree)"
+        )
+    return C
+
+
 def principal_minors(m: TridiagonalMatrix) -> list[Poly]:
     """Leading principal minors P_0 ... P_L of lambda*I - H.
 
-    P_n is monic of degree n; P_L is the characteristic polynomial.
+    P_n is monic of degree n; P_L is the characteristic polynomial.  Raises
+    OverflowError when a coefficient is not finite.
     """
-    C = _minor_table(m.diag, m.upper, m.lower)
+    C = _finite_minor_table(m.diag, m.upper, m.lower)
     # copies, not views: a caller that keeps the minors keeps n + 1 entries each
     return [Poly(C[n, :n + 1].copy()) for n in range(m.L + 1)]
 
@@ -192,11 +209,11 @@ def _unit_minors(m: TridiagonalMatrix) -> tuple[np.ndarray, float]:
     return _minor_table(m.diag / s, m.upper / s, m.lower / s), s
 
 
-def _square_pair(spec: ChainSpec, C: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(F, P_L) from the minor table ``C`` of H/s: F = P_k + i*(gamma - alpha)/(2s) * P_{k-1}."""
+def _square_root(spec: ChainSpec, C: np.ndarray, s: float) -> np.ndarray:
+    """F = P_k + i*(gamma - alpha)/(2s) * P_{k-1} from the minor table ``C`` of H/s."""
     blk, k = spec.central, spec.k
     c = complex(1j * (blk.gamma - blk.alpha) / (2.0 * s))
-    return C[k, :k + 1] + C[k - 1, :k + 1] * c, C[2 * k]
+    return C[k, :k + 1] + C[k - 1, :k + 1] * c
 
 
 def _rel_residual(p: np.ndarray, ref: np.ndarray) -> float:
@@ -209,7 +226,8 @@ def square_factor(spec: ChainSpec) -> Poly:
 
     Requires the central block in restricted form (real alpha, gamma and a
     symmetric real hopping) at its exceptional point; F is then
-    P_k + i*(gamma - alpha)/2 * P_{k-1}.
+    P_k + i*(gamma - alpha)/2 * P_{k-1}.  Raises OverflowError when a
+    minor of the chain has a non-finite coefficient.
     """
     blk = spec.central
     if not blk.is_restricted:
@@ -220,8 +238,10 @@ def square_factor(spec: ChainSpec) -> Poly:
             "central block is not at its exceptional point "
             f"(residual {ep_residual(blk):.3e}); no square factor exists"
         )
-    m = build(spec)
-    return Poly(_square_pair(spec, _minor_table(m.diag, m.upper, m.lower), 1.0)[0])
+    m, k = build(spec), spec.k
+    # F needs only the minors of the left half and the first central site
+    return Poly(_square_root(spec, _finite_minor_table(m.diag[:k], m.upper[:k - 1],
+                                                       m.lower[:k - 1]), 1.0))
 
 
 @dataclass(frozen=True)
@@ -261,8 +281,9 @@ def verify_pc(
     m-fold coalescence.
     """
     if isinstance(target, ChainSpec) and target.central.is_restricted:
-        F, pl = _square_pair(target, *_unit_minors(build(target)))
-        residual = _rel_residual(np.convolve(F, F), pl)
+        C, s = _unit_minors(build(target))
+        F = _square_root(target, C, s)
+        residual = _rel_residual(np.convolve(F, F), C[2 * target.k])
         return VerificationResult("symbolic", residual, residual < tol_certify)
 
     eigs = eigenvalues(as_matrix(target))

@@ -1,19 +1,34 @@
 """Eigenvalues and eigenvectors of tridiagonal chain Hamiltonians.
 
-Eigenvalues come from LAPACK (``np.linalg.eigvals``).  At pairwise
-coalescence every eigenvalue is a double root with a single eigenvector;
-a backward-stable solver splits each pair by about sqrt(eps)*||H||, while
-the pair's mean moves only at O(eps) (Lidskii; Moro, Burke & Overton,
-SIAM J. Matrix Anal. Appl. 18, 1997).  So each cluster whose unit,
-phase-fixed eigenvectors lie within 1e-6 of each other is reported at its
-mean.  Close eigenvalues alone do not link: an edge-state pair can lie
-1e-13*||H|| apart with independent eigenvectors.
+A chain whose off-center sites and bonds mirror exactly -- equal on-site
+entries, each bond's (upper, lower) pair equal to its mirror bond's pair or
+to the swapped pair -- splits into two sectors.  With L = 2k, central
+entries d_k, d_{k+1}, mean m = (d_k + d_{k+1})/2, delta = (d_k - d_{k+1})/2
+and Delta = delta^2 + H[k,k+1]*H[k+1,k], the characteristic polynomial
+factors as P_L = (F - sqrt(Delta) P_{k-1}) (F + sqrt(Delta) P_{k-1}): the
+spectrum is the union of the spectra of the left half chain with last
+potential m - sqrt(Delta) and with m + sqrt(Delta).  Both k x k sector
+matrices go to LAPACK (``np.linalg.eigvals``) in one call.  At Delta == 0
+the sectors are identical, which is pairwise coalescence: the half chain's
+eigenvalues are computed once, by this same function, and each is reported
+twice, so every pair is exactly equal.  The split nests -- a half chain
+that is itself mirrored at Delta == 0 gives exact quadruples.
 
-Eigenvectors come from the forward row recursion, run for all eigenvalues
-at once: once z_1 is fixed every further component follows row by row,
-which is also why coalescing eigenvalues drag their eigenvectors into
-coalescence.  A column with a poor residual, or every column when a
-superdiagonal entry is (numerically) zero, takes inverse iteration.
+Any other matrix goes to LAPACK whole.  Near a coalescence a
+backward-stable solver splits each pair by about sqrt(eps)*||H||, while the
+pair's mean moves only at O(eps) (Lidskii; Moro, Burke & Overton, SIAM J.
+Matrix Anal. Appl. 18, 1997).  So, there and in the sector path at a
+rounding-level Delta, each cluster whose unit, phase-fixed eigenvectors lie
+within 1e-6 of each other is reported at its mean.  Close eigenvalues alone
+do not link: an edge-state pair can lie 1e-13*||H|| apart with independent
+eigenvectors.
+
+Eigenvectors come from the forward row recursion: once z_1 is fixed every
+further component follows row by row, which is also why coalescing
+eigenvalues drag their eigenvectors into coalescence.  It runs for all
+eigenvalues at once, or on Python scalars for a single one.  A column with
+a poor residual, or every column when a superdiagonal entry is
+(numerically) zero, takes inverse iteration.
 
 Eigenvalues are reported in canonical order -- ascending real part, ties
 broken by ascending imaginary part -- so coalesced partners are adjacent.
@@ -115,6 +130,21 @@ def _recursion(m: TridiagonalMatrix, lams: np.ndarray) -> np.ndarray:
     return z
 
 
+def _column(m: TridiagonalMatrix, lam: complex) -> np.ndarray | None:
+    """``_recursion`` for one lambda on Python scalars; None if a value overflows."""
+    d, u, low = m.diag.tolist(), m.upper.tolist(), m.lower.tolist()
+    z = [1.0 + 0j, (lam - d[0]) / u[0]]
+    try:
+        for j in range(1, m.L - 1):
+            z.append(((lam - d[j]) * z[j] - low[j - 1] * z[j - 1]) / u[j])
+            top = abs(z[-1])
+            if top > 1e150:
+                z = [x / top for x in z]
+    except OverflowError:
+        return None
+    return np.array(z)[:, None]
+
+
 def _residuals(m: TridiagonalMatrix, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
     """||H v - lambda v|| for every column v of V."""
     HV = m.diag[:, None] * V
@@ -145,16 +175,17 @@ def _inverse_iteration(m: TridiagonalMatrix, lam: complex, scale: float) -> np.n
     rng = np.random.default_rng(0x5EED)
     v = rng.normal(size=L) + 1j * rng.normal(size=L)
     v /= np.linalg.norm(v)
-    for _ in range(3):
-        try:
-            v = np.linalg.solve(shifted, v)
-        except np.linalg.LinAlgError:
-            shifted = H - (lam + 1e-10 * scale) * np.eye(L)
-            v = np.linalg.solve(shifted, v)
-        v /= np.linalg.norm(v)
-    v = _normalize_phase(v[:, None])
-    resid = _residuals(m, np.array([lam]), v)[0]
-    if resid > _RESIDUAL_REL * scale:
+    with np.errstate(all="ignore"):  # a vector lost to over- or underflow fails the check
+        for _ in range(3):
+            try:
+                v = np.linalg.solve(shifted, v)
+            except np.linalg.LinAlgError:
+                shifted = H - (lam + 1e-10 * scale) * np.eye(L)
+                v = np.linalg.solve(shifted, v)
+            v /= np.linalg.norm(v)
+        v = _normalize_phase(v[:, None])
+        resid = _residuals(m, np.array([lam]), v)[0]
+    if not resid <= _RESIDUAL_REL * scale:
         raise ArithmeticError(
             f"no eigenvector at residual {_RESIDUAL_REL} * ||H||: lambda={lam}, "
             f"residual {resid:.3e} (is lambda an eigenvalue?)"
@@ -174,9 +205,13 @@ def _eigenvectors(m: TridiagonalMatrix, lams: np.ndarray) -> np.ndarray:
         return V
 
     scale = max(m.inf_norm(), 1e-300)
+    # a single column runs on Python scalars: numpy's per-row dispatch would dominate
+    z = None
     if np.abs(m.upper).min() >= _RECURSION_BREAKDOWN_REL * scale:
+        z = _recursion(m, lams) if n > 1 else _column(m, complex(lams[0]))
+    if z is not None:
         with np.errstate(all="ignore"):  # overflowed columns fail the residual check
-            V = _normalize_phase(_recursion(m, lams))
+            V = _normalize_phase(z)
             failed = ~(_residuals(m, lams, V) <= _RESIDUAL_REL * scale)
     else:
         V, failed = np.empty((L, n), dtype=complex), np.ones(n, dtype=bool)
@@ -213,12 +248,54 @@ def _coalesce(m: TridiagonalMatrix, eigs: np.ndarray) -> np.ndarray:
     return eigs
 
 
+def _halves(m: TridiagonalMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The two k x k sector chains of an exactly mirrored chain, or None.
+
+    Returns (diagonals, upper, lower): both sectors are the left half chain
+    with off-diagonals ``upper``, ``lower``; row 0 of the (2, k) diagonals
+    ends in m - sqrt(Delta), row 1 in m + sqrt(Delta) (module notes).  The
+    mirror test is exact, so any NaN fails it.
+    """
+    L, d, u, low = m.L, m.diag, m.upper, m.lower
+    if L % 2:
+        return None
+    k = L // 2
+    if not (d[: k - 1] == d[:k:-1]).all():
+        return None
+    ul, ll, ur, lr = u[: k - 1], low[: k - 1], u[: k - 1 : -1], low[: k - 1 : -1]
+    if not (((ul == ur) & (ll == lr)) | ((ul == lr) & (ll == ur))).all():
+        return None
+    a, b = complex(d[k - 1]), complex(d[k])
+    mean, delta = (a + b) / 2, (a - b) / 2
+    root = complex(np.sqrt(delta * delta + complex(u[k - 1]) * complex(low[k - 1])))
+    diags = np.empty((2, k), dtype=complex)
+    diags[:, : k - 1] = d[: k - 1]
+    diags[:, k - 1] = mean - root, mean + root
+    return diags, ul, ll
+
+
 def eigenvalues(m: TridiagonalMatrix) -> np.ndarray:
     """All L eigenvalues (with multiplicity) in canonical order.
 
-    Each coalesced cluster is reported at its mean (see the module notes).
+    A mirrored chain is solved as its two sector chains, and identical
+    sectors give exactly equal pairs; any other coalesced cluster is
+    reported at its mean (see the module notes).
     """
-    eigs = _coalesce(m, np.linalg.eigvals(m.to_dense()))
+    halves = _halves(m)
+    if halves is None:
+        eigs = np.linalg.eigvals(m.to_dense())
+    else:
+        diags, u, low = halves
+        if (diags[0] == diags[1]).all():
+            return np.repeat(eigenvalues(TridiagonalMatrix(diags[0], u, low)), 2)
+        k = diags.shape[1]
+        H = np.zeros((2, k, k), dtype=complex)
+        flat = H.reshape(2, k * k)
+        flat[:, :: k + 1] = diags
+        flat[:, 1 :: k + 1] = u
+        flat[:, k :: k + 1] = low
+        eigs = np.linalg.eigvals(H).ravel()
+    eigs = _coalesce(m, eigs)
     return eigs[np.lexsort((eigs.imag, eigs.real))]
 
 

@@ -130,11 +130,15 @@ def test_minors_match_leading_block_determinants():
 )
 def test_minors_keep_monic_degree_at_every_scale(k, seed, sigma, s):
     m = build(scaled(random_spec(k, seed, sigma), s))
-    # the low coefficients of long chains at norm ~1e7 overflow to inf;
-    # length and leading coefficient must hold regardless
+    # the low coefficients of long chains at norm ~1e7 overflow to inf, which
+    # raises; wherever minors are returned, length and leading coefficient hold
     with np.errstate(over="ignore", invalid="ignore"):
-        minors = principal_minors(m)
-    for n, p in enumerate(minors):
+        overflows = not all(np.isfinite(q.coeffs).all() for q in poly_minors(m))
+    if overflows:
+        with pytest.raises(OverflowError):
+            principal_minors(m)
+        return
+    for n, p in enumerate(principal_minors(m)):
         assert len(p.coeffs) == n + 1
         assert p.coeffs[-1] == 1.0
 
@@ -177,13 +181,15 @@ def test_minors_and_residuals_bitwise_equal_poly_recurrence(sigma):
     for spec in specs:
         m = build(spec)
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = principal_minors(m), poly_minors(m)
-        for n, (p, q) in enumerate(zip(got, want)):
-            assert len(p.coeffs) == n + 1 and p.coeffs[-1] == 1.0
-            # long chains at 1e6 scale overflow; where they stay finite, every bit agrees
-            finite = np.isfinite(q.coeffs)
-            assert np.array_equal(np.isfinite(p.coeffs), finite)
-            assert p.coeffs[finite].tobytes() == q.coeffs[finite].tobytes()
+            want = poly_minors(m)
+        # long chains at 1e6 scale overflow, which raises; otherwise every bit agrees
+        if all(np.isfinite(q.coeffs).all() for q in want):
+            for n, (p, q) in enumerate(zip(principal_minors(m), want)):
+                assert len(p.coeffs) == n + 1 and p.coeffs[-1] == 1.0
+                assert p.coeffs.tobytes() == q.coeffs.tobytes()
+        else:
+            with pytest.raises(OverflowError):
+                principal_minors(m)
         v = verify_pc(spec)
         assert v.mode == "symbolic" and type(v.residual) is float
         assert v.residual == poly_residual(spec)
@@ -343,6 +349,23 @@ def test_square_factor_requires_tuned_block():
     spec = random_spec(5, seed=2, central=CentralBlock(0.0, 2.0, 2.0, 0.5))
     with pytest.raises(ValueError):
         square_factor(spec)  # not in restricted form, despite the EP product
+
+
+@pytest.mark.filterwarnings("error")  # the overflow is reported once, as the error
+def test_overflowing_minors_raise():
+    # ||H||_inf = 5.5e6 at L = 104: P_L and F overflow, the scaled certificate does not
+    spec = family_b(104, 1e6, 1.5e6, 0.0, 3e6)
+    with pytest.raises(OverflowError):
+        principal_minors(build(spec))
+    with pytest.raises(OverflowError):
+        square_factor(spec)
+    result = verify_pc(spec)
+    assert result.mode == "symbolic" and result.certified
+    # at 5.5e4 only P_L overflows; F needs the minors up to P_k alone
+    spec = family_b(104, 1e4, 1.5e4, 0.0, 3e4)
+    with pytest.raises(OverflowError):
+        principal_minors(build(spec))
+    assert np.isfinite(square_factor(spec).coeffs).all()
 
 
 def test_verify_pc_symbolic_accepts_and_rejects():

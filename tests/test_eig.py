@@ -3,9 +3,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from pcspectra.chain import TridiagonalMatrix, build, family_b, legacy, random_spec
+from pcspectra.chain import (
+    CentralBlock,
+    TridiagonalMatrix,
+    build,
+    family_a,
+    family_b,
+    family_c,
+    family_d,
+    legacy,
+    random_spec,
+)
 from pcspectra.eig import (
+    _eigenvectors,
+    _halves,
     cluster,
     cluster_members,
     distinct_count,
@@ -13,6 +28,16 @@ from pcspectra.eig import (
     eigenvector_for,
     spectrum,
 )
+
+# a backward-stable solver splits a defective pair by about sqrt(eps)*||H||
+EIG_MATCH_REL = 100.0 * np.sqrt(np.finfo(float).eps)
+
+
+def multiset_distance(x, y) -> float:
+    """Largest distance under a one-to-one matching of two equal-size multisets."""
+    cost = np.abs(np.asarray(x)[:, None] - np.asarray(y)[None, :])
+    r, c = linear_sum_assignment(cost)
+    return float(cost[r, c].max())
 
 
 def random_matrix(rng, L):
@@ -105,8 +130,10 @@ def test_eigenvector_fallback_when_recursion_breaks():
 
 def test_eigenvector_for_rejects_non_eigenvalue():
     m = build(legacy(6, 0.0, 1.0))
-    with pytest.raises(ArithmeticError):
-        eigenvector_for(m, 100.0 + 100.0j)
+    # at 1e300 inverse iteration underflows to a NaN vector, which must fail too
+    for lam in (100.0 + 100.0j, 1e300):
+        with pytest.raises(ArithmeticError, match="is lambda an eigenvalue"):
+            eigenvector_for(m, lam)
 
 
 def test_coalescing_eigenvectors_become_parallel():
@@ -130,11 +157,11 @@ def test_coalesced_pairs_reported_at_their_mean():
         for mu in range(0, m.L, 2):
             assert np.allclose(eigenvector_for(m, eigs[mu]), s.eigenvectors[:, mu],
                                rtol=0, atol=1e-12)
-    # detuned: close pairs with distinct eigenvectors keep LAPACK's values
+    # detuned: close pairs with distinct eigenvectors stay apart, at LAPACK's accuracy
     m = build(family_b(10, 1.5, 1.0, 0.0, 3.0 + 1e-6))
     eigs = eigenvalues(m)
     assert distinct_count(eigs, tol=1e-12) == 10
-    assert np.array_equal(np.sort_complex(eigs), np.sort_complex(np.linalg.eigvals(m.to_dense())))
+    assert multiset_distance(eigs, np.linalg.eigvals(m.to_dense())) <= EIG_MATCH_REL * m.inf_norm()
 
 
 def test_eigenvalue_multiset_flip_invariant():
@@ -176,3 +203,116 @@ def test_distinct_count_tolerance_dependence():
 def test_distinct_count_coalescence_detection():
     assert distinct_count(eigenvalues(build(legacy(10, 0.0, 2.0)))) == 5
     assert distinct_count(eigenvalues(build(legacy(10, 0.0, 1.5)))) == 10
+
+
+# --- mirror sectors ----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 30),
+    seed=st.integers(0, 2**16),
+    s=st.sampled_from([1e-6, 1.0, 1e6]),
+    at_ep=st.booleans(),
+)
+def test_sector_union_matches_lapack(k, seed, s, at_ep):
+    rng = np.random.default_rng(seed)
+    alpha, gamma, du, dl = (complex(z) for z in s * (rng.normal(size=4) + 1j * rng.normal(size=4)))
+    if at_ep:
+        # Delta = delta^2 + du*dl vanishes exactly for du = dl = i*delta
+        du = dl = 1j * (-1j * alpha - -1j * gamma) / 2
+    spec = random_spec(k, seed, s, CentralBlock(alpha, gamma, du, dl))
+    m = build(spec.with_flip_mask(rng.integers(0, 2, size=2 * k - 2) > 0))
+    assert _halves(m) is not None
+    eigs = eigenvalues(m)
+    assert multiset_distance(eigs, np.linalg.eigvals(m.to_dense())) <= EIG_MATCH_REL * m.inf_norm()
+    if at_ep:
+        assert np.array_equal(eigs[0::2], eigs[1::2])
+
+
+@pytest.mark.parametrize("gamma", [3.0, 3.0 + 1e-6])
+def test_perturbed_mirror_is_not_split(gamma):
+    m = build(family_b(10, 1.5, 1.0, 0.0, gamma))
+    k = m.L // 2
+    diag, upper = m.diag.copy(), m.upper.copy()
+    diag[k + 1 :] *= 1 + 1e-12
+    upper[k:] *= 1 + 1e-12
+    bent = TridiagonalMatrix(diag, upper, m.lower)
+    assert _halves(m) is not None and _halves(bent) is None
+    if gamma != 3.0:  # off PC nothing coalesces: exactly LAPACK's values
+        assert np.array_equal(np.sort_complex(eigenvalues(bent)),
+                              np.sort_complex(np.linalg.eigvals(bent.to_dense())))
+
+
+@pytest.mark.parametrize("spec", [
+    legacy(104, 0.0, 2.0),
+    family_b(104, 1.0, 1.5, 0.0, 3.0),
+    family_c(102, 1.0, 1.5, 0.7, 0.0, 1.4),
+])
+def test_every_pair_exact_on_long_chains(spec):
+    m = build(spec)
+    eigs = eigenvalues(m)
+    assert np.array_equal(eigs[0::2], eigs[1::2])
+    assert distinct_count(eigs, tol=1e-12) == m.L // 2
+    assert multiset_distance(eigs, np.linalg.eigvals(m.to_dense())) <= EIG_MATCH_REL * m.inf_norm()
+
+
+@pytest.mark.parametrize("args, distinct", [
+    ((12, 2.0, 0.7, 2.0), 3),
+    ((24, 2.0, 1.0, 2.0), 6),
+    ((60, 2.0, 1.0, 2.0), 15),
+    ((60, 2.0, 3.0, 2.0), 15),
+    ((12, 2.4, 1.2, 2.4), 6),  # paired only: the half chain's sectors differ
+])
+def test_nested_sectors_give_exact_quadruples(args, distinct):
+    eigs = eigenvalues(family_d(*args))
+    assert distinct_count(eigs, tol=1e-12) == distinct_count(eigs) == distinct
+    if distinct * 4 == args[0]:
+        assert all(np.array_equal(eigs[0::4], eigs[j::4]) for j in (1, 2, 3))
+
+
+# --- one-column eigenvectors -------------------------------------------------
+
+
+def test_eigenvector_for_matches_spectrum_columns():
+    # numpy's vector loops may fuse multiply-adds where Python scalars round
+    # twice; the recursion amplifies that last-bit difference along the chain
+    # (to ~1e-9 at L = 15 on random chains), so the chains here are short
+    rng = np.random.default_rng(12)
+    chains = [random_matrix(rng, int(rng.integers(2, 9))) for _ in range(40)]
+    chains += [build(spec) for L in (10, 30) for spec in
+               (family_b(L, 1.0, 1.5, 0.0, 3.1), legacy(L, 0.0, 2.2), family_a(L, 0.3, 2.0, 0.4))]
+    for m in chains:
+        s = spectrum(m)
+        for mu in range(m.L):
+            assert np.abs(eigenvector_for(m, s.eigenvalues[mu]) - s.eigenvectors[:, mu]).max() < 1e-12
+
+
+def test_eigenvector_for_rescales_a_growing_solution():
+    # Hatano-Nelson chain: components grow 100-fold per site, 1e398 in all,
+    # so the raw recursion would overflow without its rescaling
+    L, up, lo = 200, 0.01, 100.0
+    m = TridiagonalMatrix(np.zeros(L), np.full(L - 1, up), np.full(L - 1, lo))
+    n = np.arange(1, L + 1)
+    for j in (1, 57, 100):
+        theta = j * np.pi / (L + 1)
+        want = np.sqrt(lo / up) ** (n - L) * np.sin(n * theta)
+        want /= np.linalg.norm(want)
+        want *= np.sign(want[np.abs(want) > 1e-12 * np.abs(want).max()][0])
+        lam = 2 * np.sqrt(up * lo) * np.cos(theta)
+        v = eigenvector_for(m, lam)
+        assert np.abs(v - want).max() < 1e-12
+        assert np.abs(v - _eigenvectors(m, np.array([lam, lam]))[:, 0]).max() < 1e-12
+
+
+def test_eigenvector_for_takes_inverse_iteration_on_tiny_superdiagonal():
+    rng = np.random.default_rng(13)
+    m = random_matrix(rng, 12)
+    upper = m.upper.copy()
+    upper[5] = 1e-13 * m.inf_norm()
+    m = TridiagonalMatrix(m.diag, upper, m.lower)
+    s = spectrum(m)
+    for mu, lam in enumerate(s.eigenvalues):
+        v = eigenvector_for(m, lam)
+        assert np.array_equal(v, s.eigenvectors[:, mu])
+        assert np.linalg.norm(m.to_dense() @ v - lam * v) <= 1e-8 * m.inf_norm()
