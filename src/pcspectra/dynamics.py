@@ -13,6 +13,16 @@ forms P, P^2, ..., P^16 once, advances block starts by P^16, and gets
 the states of up to 16 blocks from one matrix product.  Each chain of a
 stack is computed independently of the others.
 
+Every chain of the paper has real hoppings and purely imaginary gain or
+loss potentials.  With D = diag(i^j) such an H satisfies i H = D R D^-1
+with R real, so P^N = D P_R^N D^-1 where P_R is the stability polynomial
+of -dt R: the powers are real matrix products, the states are carried as
+real and imaginary parts of D^-1 psi, and D, being unitary, changes no
+norm.  The gauge is taken when every entry of R is exactly real (the
+phases are powers of i, so forming R rounds nothing); any other stack,
+with a complex hopping or a real potential, runs the same code with
+D = 1 in complex arithmetic.
+
 The survival norm ||psi(t)|| of an initially normalized state is the
 central observable.  For purely absorbing chains (Hermitian hopping,
 non-positive on-site imaginary parts) the exact norm is non-increasing,
@@ -50,8 +60,9 @@ _DEFECTIVE_NUDGE = 1e-6
 _GROWTH_SLACK = 1e-6
 _DT_TOO_LARGE = "the step size dt is too large for this Hamiltonian"
 # norm_trace: steps per block of operator powers and block starts per product;
-# the powers take 16 L^2 complex entries (0.4 MB at L = 40)
+# the powers take 16 L^2 entries (0.2 MB at L = 40 in the real gauge, 0.4 MB complex)
 _BLOCK = 16
+_PHASES = np.array([1, 1j, -1, -1j])  # i^j by j mod 4, exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,17 +185,41 @@ def _is_absorbing(d: np.ndarray, u: np.ndarray, low: np.ndarray) -> bool:
     )
 
 
-def _rk4(H: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
-    """One RK4 step of size h applied to x, sum_{n<=4} z^n x / n! with z = -i h H.
+def _rk4(H: np.ndarray, h: float, x: np.ndarray, c: complex = -1j) -> np.ndarray:
+    """One RK4 step of size h applied to x, sum_{n<=4} z^n x / n! with z = c h H.
 
     With x the identity this is the step operator P; H may be a stack (G, L, L).
+    The default c = -1j integrates dpsi/dt = -i H psi; a real c with real H and
+    x keeps the arithmetic real.
     """
     y = x
     for n in (4, 3, 2, 1):  # Horner form of the stability polynomial
         y = H @ y
-        y *= -1j * h / n
+        y *= c * h / n
         y += x
     return y
+
+
+def _gauge(H: np.ndarray) -> tuple[np.ndarray, complex, np.ndarray]:
+    """(A, c, g) with -i H = c D A D^-1 and D = diag(g), A real where possible.
+
+    With g_j = i^j, A = i conj(g_j) H_jk g_k multiplies each entry of H by
+    a power of i, which is exact, so A is real exactly when every hopping
+    of the stack is real and every potential imaginary; then c = -1.
+    Otherwise A = H, c = -1j and g = 1.  D is unitary, so states carried
+    as conj(g) psi and operators as A have the norms of psi and of -i H.
+    """
+    g = _PHASES[np.arange(H.shape[-1]) % 4]
+    R = H * (1j * np.conj(g)[:, None] * g)
+    if R.imag.any():
+        return H, -1j, np.ones(len(g), dtype=complex)
+    return np.ascontiguousarray(R.real), -1.0, g
+
+
+def _to_gauge(psi: np.ndarray, g: np.ndarray, real: bool) -> np.ndarray:
+    """States psi (..., L) as conj(g) psi: a real (..., L, 2) view or complex (..., L, 1)."""
+    x = np.conj(g) * psi
+    return x.view(float).reshape(*x.shape, 2) if real else x[..., None]
 
 
 def _step_count(t: float, dt: float, name: str) -> tuple[int, float]:
@@ -214,33 +249,36 @@ def _propagate(
     """States psi (G, L) evolved to time t under the stacked H (G, L, L).
 
     The floor(t/dt) full steps are applied as P^N by binary powering, then
-    one shortened step covers the remainder.  On the chains flagged in
-    ``absorbing`` every power P^(2^j) formed must have 2-norm at most
-    1 + slack, and no final norm may exceed its initial one by more than
-    that factor.  Bounding ||P||^N instead trips falsely at long t.  A
-    final state that is not finite raises RuntimeError on any chain.
+    one shortened step covers the remainder, both in the gauge of
+    ``_gauge``.  On the chains flagged in ``absorbing`` every power
+    P^(2^j) formed must have 2-norm at most 1 + slack, and no final norm
+    may exceed its initial one by more than that factor.  Bounding
+    ||P||^N instead trips falsely at long t.  A final state that is not
+    finite raises RuntimeError on any chain.
     """
     steps, rem = _step_count(t, dt, "t")
     n0 = np.linalg.norm(psi, axis=-1)
-    psi = psi[..., None].astype(complex)
-    power = _rk4(H, dt, np.eye(H.shape[-1]))
+    A, c, g = _gauge(H)
+    x = _to_gauge(psi, g, np.isrealobj(A))
+    power = _rk4(A, dt, np.eye(H.shape[-1]), c)  # ||power||_2 = ||P||_2, D is unitary
     bound = np.full(len(H), np.inf)  # >= ||power||_2 per chain
     while steps:
         # an SVD only where the squared bound no longer proves contraction
         over = absorbing & (bound > 1.0 + _GROWTH_SLACK)
-        bound[over] = np.linalg.norm(power[over], 2, axis=(-2, -1))
-        if np.any(bound[over] > 1.0 + _GROWTH_SLACK):
-            raise RuntimeError(f"RK4 step operator grows the norm on an "
-                               f"absorbing chain; {_DT_TOO_LARGE}")
+        if over.any():
+            bound[over] = np.linalg.norm(power[over], 2, axis=(-2, -1))
+            if np.any(bound[over] > 1.0 + _GROWTH_SLACK):
+                raise RuntimeError(f"RK4 step operator grows the norm on an "
+                                   f"absorbing chain; {_DT_TOO_LARGE}")
         if steps & 1:
-            psi = power @ psi
+            x = power @ x
         steps >>= 1
         if steps:
             power = power @ power
             bound = bound**2  # ||A^2|| <= ||A||^2
     if rem > 1e-12:
-        psi = _rk4(H, rem, psi)
-    psi = psi[..., 0]
+        x = _rk4(A, rem, x, c)
+    psi = g * x.view(complex)[..., 0]
     if not np.isfinite(psi).all():
         raise RuntimeError(f"state is not finite; {_DT_TOO_LARGE}")
     if np.any(absorbing & (np.linalg.norm(psi, axis=-1) > n0 * (1.0 + _GROWTH_SLACK))):
@@ -296,23 +334,28 @@ def norm_trace(
     norms = np.empty_like(times)
     norms[0] = 1.0
     L, B = m.L, _BLOCK
-    H = m.to_dense()
-    # Q[i] = P^(i+1): every state of a block of B steps is Q times its start
-    Q = np.empty((B, L, L), dtype=complex)
-    Q[0] = _rk4(H, dt, np.eye(L))
+    A, c, g = _gauge(m.to_dense())
+    row = _to_gauge(psi, g, np.isrealobj(A)).T  # the state as k = 2 real or 1 complex rows
+    k = len(row)
+    # Q[i] = P^(i+1) in the gauge: every state of a block of B steps is Q times its start
+    Q = np.empty((B, L, L), dtype=A.dtype)
+    Q[0] = _rk4(A, dt, np.eye(L), c)
     for i in range(1, B):
         np.matmul(Q[i - 1], Q[0], out=Q[i])
-    starts = np.empty((B, L), dtype=complex)
+    QT = Q.reshape(B * L, L).T  # column i*L + l is row l of P^(i+1)
+    starts = np.empty((B, k, L), dtype=A.dtype)  # block starts, as rows
     done = 0  # full steps whose norms are in the trace
     while done < steps:
         count = min(B * B, steps - done)
         n = -(-count // B)  # block starts in this chunk, each P^B after the last
-        starts[0] = psi
+        starts[0] = row
         for j in range(1, n):
-            np.matmul(Q[-1], starts[j - 1], out=starts[j])
-        states = (Q.reshape(B * L, L) @ starts[:n].T).reshape(B, L, n)
-        # state of step done + j*B + i + 1 is states[i, :, j]
-        chunk = np.linalg.norm(states, axis=1).T.ravel()[:count]
+            np.matmul(starts[j - 1], Q[-1].T, out=starts[j])
+        states = (starts[:n].reshape(n * k, L) @ QT).reshape(n, k, B, L)
+        # state of step done + j*B + i + 1 is states[j, :, i]; its norm sums
+        # the real squares of its k rows, each reduced over contiguous entries
+        parts = states.view(float)
+        chunk = np.sqrt(np.einsum("jrix,jrix->ji", parts, parts).ravel()[:count])
         norms[done + 1:done + 1 + count] = chunk
         _require_finite(chunk, times[done + 1:done + 1 + count])
         if absorbing:
@@ -321,10 +364,10 @@ def norm_trace(
                 raise RuntimeError(f"norm grew on an absorbing chain at "
                                    f"t={times[done + 1 + grew[0]]:g}; {_DT_TOO_LARGE}")
         j, i = divmod(count - 1, B)
-        psi = states[i, :, j]
+        row = states[j, :, i]
         done += count
     if tail:
-        norms[-1] = np.linalg.norm(_rk4(H, rem, psi))
+        norms[-1] = np.linalg.norm(_rk4(A, rem, row.T, c))
         _require_finite(norms[-1:], times[-1:])
     return NormTrace(times, norms, {"dt": dt, "t_max": t_max})
 

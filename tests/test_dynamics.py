@@ -7,8 +7,18 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pcspectra.chain import TridiagonalMatrix, build, family_b, legacy
+from pcspectra.chain import (
+    TridiagonalMatrix,
+    as_matrix,
+    build,
+    family_a,
+    family_b,
+    family_c,
+    family_d,
+    legacy,
+)
 from pcspectra.dynamics import (
+    _gauge,
     _rk4,
     approx_norm,
     evolve,
@@ -217,6 +227,87 @@ def test_norm_trace_matches_per_step_reference(steps, tail):
     assert tr.times.tolist() == times
     np.testing.assert_allclose(tr.norms, ref, rtol=1e-12, atol=0.0)
     assert tr.norms[-1] == pytest.approx(evolve(m, psi0, t, dt=dt).norm(), rel=1e-12, abs=0.0)
+
+
+def lossy_chain(rng, L, kind="gauged"):
+    """Real non-reciprocal hoppings and imaginary gain or loss; ``kind`` breaks one."""
+    d = 1j * rng.uniform(-0.5, 1.5, size=L) * rng.choice([-1.0, 1.0], size=L)
+    u = rng.uniform(0.5, 1.5, size=L - 1).astype(complex)
+    lo = rng.uniform(0.5, 1.5, size=L - 1).astype(complex)
+    if kind == "complex hopping" and L > 1:
+        u[rng.integers(L - 1)] += 0.3j
+    elif kind == "real potential":
+        d[rng.integers(L)] += 0.3
+    return TridiagonalMatrix(d, u, lo)
+
+
+def per_step_reference(m, psi0, t, dt):
+    """Norms after every complex RK4 step of the dense H, and the final state."""
+    H = m.to_dense()
+    steps = int(np.floor(t / dt + 1e-9))
+    psi, norms = psi0, [1.0]
+    for _ in range(steps):
+        psi = _rk4(H, dt, psi)
+        norms.append(np.linalg.norm(psi))
+    if t - steps * dt > 1e-12:
+        psi = _rk4(H, t - steps * dt, psi)
+        norms.append(np.linalg.norm(psi))
+    return np.array(norms), psi
+
+
+@pytest.mark.parametrize("kind", ["gauged", "complex hopping", "real potential"])
+def test_gauge_matches_complex_reference(kind):
+    # the real gauge exists exactly for real hoppings and imaginary potentials;
+    # other chains run the same code in complex arithmetic
+    rng = np.random.default_rng({"gauged": 41, "complex hopping": 42, "real potential": 43}[kind])
+    Ls = [1, 2, 3, 4, 7, 10, 15, 24, 33, 40] if kind == "gauged" else [2, 5, 12, 21]
+    dt = 0.01
+    for L in Ls:
+        m = lossy_chain(rng, L, kind)
+        assert np.isrealobj(_gauge(m.to_dense())[0]) == (kind == "gauged")
+        psi0 = rng.normal(size=L) + 1j * rng.normal(size=L)
+        psi0 /= np.linalg.norm(psi0)
+        t = dt * int(rng.integers(20, 400)) + 0.37 * dt
+        ref, final = per_step_reference(m, psi0, t, dt)
+        np.testing.assert_allclose(norm_trace(m, psi0, t, dt=dt).norms, ref, rtol=1e-12, atol=0)
+        got = evolve(m, psi0, t, dt=dt).amplitudes
+        assert np.linalg.norm(got - final) <= 1e-12 * np.linalg.norm(final)
+        # a scan over the strength of the potentials, every point against its reference
+        grid = [0.5, 1.0, 1.5]
+        scale = lambda g: TridiagonalMatrix(g * m.diag, m.upper, m.lower)  # noqa: E731
+        res = min_norm_gamma(scale, grid, kind="uniform_site", t_final=t, dt=dt)
+        site = uniform_site(L).amplitudes
+        for (g, g_eff, n), want in zip(res.rows, grid):
+            assert g == g_eff == want
+            assert n == pytest.approx(per_step_reference(scale(g), site, t, dt)[0][-1],
+                                      rel=1e-12, abs=0.0)
+
+
+def test_family_chains_take_the_real_gauge():
+    for spec in (legacy(12, 0.3, 2.0), family_a(10, 0.2, 1.0, 0.4, 0.3),
+                 family_b(22, 1.0, 1.5, 0.0, 3.0), family_c(24, 1.5, 1.5, 1.0, 0.0, 2.0),
+                 family_d(12, 2.0, 1.0, 2.0)):
+        assert np.isrealobj(_gauge(as_matrix(spec).to_dense())[0])
+    # a complex edge term -i*beta puts a real part on the edge sites
+    assert not np.isrealobj(_gauge(build(family_a(10, 0.2, 1.0, 0.4, 0.3 + 0.1j)).to_dense())[0])
+
+
+def test_guard_skips_the_svd_when_every_bound_holds(monkeypatch):
+    # the 2-norm guard runs on the chains whose squared bound no longer proves
+    # contraction, and not at all when there are none
+    stacks = []
+    norm = np.linalg.norm
+
+    def counted(x, ord=None, axis=None, **kw):
+        if ord == 2:
+            stacks.append(len(x))
+        return norm(x, ord, axis, **kw)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    grid = np.linspace(2.0, 4.0, 9)
+    min_norm_gamma(lambda g: family_b(12, 1.0, 1.5, 0.0, g), grid, kind="wavepacket")
+    assert stacks and all(stacks)
+    assert stacks[0] == len(grid)
 
 
 @pytest.mark.parametrize("w, t_raise", [(1e-6, 31.9), (1e-12, 60.9), (1e-20, 95.7)])
