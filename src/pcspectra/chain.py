@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _REAL_TOL = 1e-12
+_SYMMETRY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class CentralBlock:
     def is_restricted(self) -> bool:
         """True when alpha, gamma are real and the hoppings are equal and real."""
         entries = [getattr(self, f.name) for f in fields(self)]
-        tol = _REAL_TOL * max(1.0, *map(abs, entries))
+        tol = _REAL_TOL * max(map(abs, entries))
         return (all(abs(z.imag) <= tol for z in entries)
                 and abs(self.delta_upper - self.delta_lower) <= tol)
 
@@ -374,20 +375,22 @@ def _positions(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) + 1 for j in np.flatnonzero(mask))
 
 
-def check_symmetry(m: TridiagonalMatrix, rtol: float = 1e-9) -> SymmetryReport:
+def check_symmetry(m: TridiagonalMatrix) -> SymmetryReport:
     """Classify the off-center mirror symmetry of a tridiagonal matrix.
 
     The two central sites and the central bond are excluded from every
     comparison.  On-site coefficients must mirror exactly in both variants;
     bond amplitudes must mirror individually for "exact_offcenter" or only
-    as products H[j,j+1]*H[j+1,j] for "generalized_offcenter".
+    as products H[j,j+1]*H[j+1,j] for "generalized_offcenter".  Entries
+    agree within 1e-9 * ||H||_inf, products within 1e-9 * ||H||_inf^2, so
+    the verdict does not change under H -> cH.
     """
     L = m.L
     if L % 2 != 0:
         raise ValueError(f"symmetry check needs even L, got {L}")
     k = L // 2
-    scale = max(1.0, m.inf_norm())
-    tol = rtol * scale
+    scale = m.inf_norm()
+    tol = _SYMMETRY_RTOL * scale
 
     # sites 1..k-1 against sites L..k+2, bonds 1..k-1 against bonds L-1..k+1
     bad_sites = np.abs(m.diag[: k - 1] - m.diag[:k:-1]) > tol

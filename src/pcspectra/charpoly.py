@@ -12,11 +12,13 @@ full characteristic polynomial factors as a perfect square
     P_L = F^2,    F = P_k + i*(gamma - alpha)/2 * P_{k-1},
 
 which is the symbolic certificate of full-spectrum pairwise coalescence.
-The same square form extends to complex central blocks that satisfy the
+The same square form holds for complex central blocks that satisfy the
 product condition delta_upper*delta_lower = (alpha - gamma)^2 / 4, with
-F = (lambda + i*(alpha + gamma)/2) * P_{k-1} - eta_{k-1} * P_{k-2}; this
-library treats that extension as a conjecture and certifies non-restricted
-blocks through the numerical even-multiplicity check instead.
+F = (lambda + i*(alpha + gamma)/2) * P_{k-1} - eta_{k-1} * P_{k-2}: the
+mirror identity P_L = F^2 - Delta * P_{k-1}^2 behind ``eig``'s sector split
+has Delta = delta_upper*delta_lower - (alpha - gamma)^2 / 4.  Only the
+certificate still treats such blocks numerically, through the
+even-multiplicity check.
 
 The recurrence fills one lower-triangular (L+1, L+1) coefficient table,
 row n holding P_n in ascending powers; the certificates read its rows as
@@ -193,9 +195,9 @@ def verify_at_relation(spec: ChainSpec) -> float:
         raise ValueError("degenerate chain: the bond product eta_{k-1} vanishes, "
                          "the second identity is undefined")
     T, A = transfer_T(spec), transfer_A(spec)
-    r1 = (A[0, 0] - T[0, 0]).norm() / max(1.0, T[0, 0].norm())
+    r1 = (A[0, 0] - T[0, 0]).norm() / T[0, 0].norm()
     # compare eta_{k-1} * A12 + T12 == 0 to avoid dividing coefficients
-    r2 = (eta_last * A[0, 1] + T[0, 1]).norm() / max(1.0, T[0, 1].norm())
+    r2 = (eta_last * A[0, 1] + T[0, 1]).norm() / T[0, 1].norm()
     return max(r1, r2)
 
 
@@ -226,13 +228,15 @@ def square_factor(spec: ChainSpec) -> Poly:
 
     Requires the central block in restricted form (real alpha, gamma and a
     symmetric real hopping) at its exceptional point; F is then
-    P_k + i*(gamma - alpha)/2 * P_{k-1}.  Raises OverflowError when a
-    minor of the chain has a non-finite coefficient.
+    P_k + i*(gamma - alpha)/2 * P_{k-1}.  The block counts as at its EP
+    when ``ep_residual`` is at most 1e-12 times the square of its largest
+    entry, whatever its scale.  Raises OverflowError when a minor of the
+    chain has a non-finite coefficient.
     """
     blk = spec.central
     if not blk.is_restricted:
         raise ValueError("square_factor needs a restricted central block")
-    scale = max(1.0, abs(blk.alpha), abs(blk.gamma), abs(blk.delta_upper))
+    scale = max(abs(blk.alpha), abs(blk.gamma), abs(blk.delta_upper), abs(blk.delta_lower))
     if ep_residual(blk) > 1e-12 * scale * scale:
         raise ValueError(
             "central block is not at its exceptional point "

@@ -15,9 +15,8 @@ failed certification is data, not an error), 1 for invalid
 configuration, 2 for numerical failure.  CSV output is RFC 4180 with a
 header row; floats use the shortest round-trip decimal form.
 
-Every run computes in one process.  --workers and the PC_SPECTRA_WORKERS
-environment variable (which overrides it) are still accepted, since
-scripts pass them.  Each must be an integer of at least 1; it is then
+Every run computes in one process.  --workers is still accepted, since
+scripts pass it.  It must be an integer of at least 1; it is then
 discarded, so no RunConfig field holds it and it cannot change the output.
 """
 from __future__ import annotations
@@ -43,7 +42,7 @@ from . import chain, dynamics, nonortho
 from .charpoly import verify_pc, verify_power
 from .eig import cluster_members, distinct_count, eigenvalues, spectrum
 
-__all__ = ["RunConfig", "run", "preset", "main"]
+__all__ = ["RunConfig", "run", "main"]
 
 _STATES = ("wavepacket", "uniform-site", "uniform-eigen")
 _PRESETS = ("fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8")
@@ -377,16 +376,6 @@ def _run_sweep(config: RunConfig) -> dict:
 # presets
 
 
-def preset(name: str, small: bool = False, seed: int = 0,
-           out: str | None = None) -> RunConfig:
-    """Config reproducing one of the reference datasets by name."""
-    if name not in _PRESETS:
-        raise _CliError(f"unknown preset {name!r}; choose from {', '.join(_PRESETS)}")
-    return RunConfig(
-        subcommand="preset-run", preset_name=name, small=small, seed=seed, out=out,
-    )
-
-
 def _preset_runs(small: bool) -> dict:
     """Presets made of subcommand runs: name -> (summary key, runs).
 
@@ -510,7 +499,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="base RNG seed")
     parser.add_argument("--workers", type=int,
                         help="accepted for compatibility: checked to be at least 1, "
-                             "then ignored (PC_SPECTRA_WORKERS overrides)")
+                             "then ignored")
     parser.add_argument("--tol-distinct", type=float,
                         help="clustering tolerance for distinct eigenvalues")
     parser.add_argument("--tol-certify", type=float,
@@ -606,11 +595,8 @@ def _build_parser() -> _Parser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     # flags left unset take the RunConfig defaults
     fields = {k: v for k, v in vars(args).items() if v is not None}
-    # --workers and PC_SPECTRA_WORKERS (which overrides it) are checked, not kept
-    workers = fields.pop("workers", 1)
-    if "PC_SPECTRA_WORKERS" in os.environ:
-        workers = int(os.environ["PC_SPECTRA_WORKERS"])
-    if workers < 1:
+    # --workers is checked, not kept
+    if fields.pop("workers", 1) < 1:
         raise _CliError("worker count must be at least 1")
     # Every family flag given, not just the selected family's, so strays like
     # --J1 with family legacy, or a fixed value for the swept parameter, are

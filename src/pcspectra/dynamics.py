@@ -26,7 +26,8 @@ D = 1 in complex arithmetic.
 The survival norm ||psi(t)|| of an initially normalized state is the
 central observable.  For purely absorbing chains (Hermitian hopping,
 non-positive on-site imaginary parts) the exact norm is non-increasing,
-which doubles as an integrator sanity check.
+which doubles as an integrator sanity check; a chain counts as purely
+absorbing when both conditions hold to 1e-12 ||H||_inf.
 """
 from __future__ import annotations
 
@@ -53,9 +54,7 @@ __all__ = [
     "min_norm_gamma",
 ]
 
-# At exact PC coalesced pairs share one eigenvector column (basis singular
-# value below 1e-38); detuned by 1e-6 the basis keeps singular values above 1e-4.
-_DEFECTIVE_SV = 1e-8
+# a grid value whose spectrum has a repeated eigenvalue is moved by this much
 _DEFECTIVE_NUDGE = 1e-6
 _GROWTH_SLACK = 1e-6
 _DT_TOO_LARGE = "the step size dt is too large for this Hamiltonian"
@@ -95,7 +94,7 @@ class MinNormResult:
     ``rows`` holds one (gamma, gamma_effective, final_norm) triple per grid
     point in grid order; ``gamma_star`` is the nominal grid value whose
     final norm is smallest.  gamma_effective differs from gamma only when
-    a defective eigenbasis forced a tiny detuning to build the state.
+    a repeated eigenvalue forced a tiny detuning to build the state.
     """
 
     gamma_star: float
@@ -132,14 +131,15 @@ def uniform_site(L: int) -> StateVector:
 def uniform_eigen(s: Spectrum) -> StateVector:
     """Equal-weight superposition of all normalized right eigenvectors.
 
-    Undefined at a coalescence point, where the eigenvectors stop
-    spanning the space; callers should detune slightly first (see
-    ``min_norm_gamma``).  Raises ValueError when the eigenbasis is
-    numerically defective.
+    ``s`` is expected from ``spectrum``, which reports every coalesced
+    cluster as exactly repeated eigenvalues with identical eigenvector
+    columns.  So the eigenvectors stop spanning the space exactly when an
+    eigenvalue repeats, and then ValueError is raised; callers should
+    detune slightly first (see ``min_norm_gamma``).
     """
-    if s.min_basis_singular_value() < _DEFECTIVE_SV:
+    if len(set(s.eigenvalues.tolist())) < s.L:
         raise ValueError(
-            "eigenbasis is numerically defective (coalescence point); "
+            "the spectrum has a repeated eigenvalue (coalescence point); "
             "detune the parameter slightly before building this state"
         )
     amps = s.eigenvectors.sum(axis=1)
@@ -157,7 +157,7 @@ def initial_state(
 
     ``kind`` is "wavepacket" (Gaussian, defaults j0=L/4, sigma=L/8,
     p=pi/4), "uniform_site", or "uniform_eigen" (raises ValueError where
-    the eigenbasis of m is numerically defective).
+    the spectrum of m has a repeated eigenvalue).
     """
     L = m.L
     if kind == "wavepacket":
@@ -171,18 +171,10 @@ def initial_state(
     raise ValueError(f"unknown initial-state kind: {kind!r}")
 
 
-def _is_absorbing(d: np.ndarray, u: np.ndarray, low: np.ndarray) -> bool:
+def _is_absorbing(m: TridiagonalMatrix) -> bool:
     """Hermitian hopping plus only non-positive on-site imaginary parts."""
-    scale = max(
-        float(np.abs(d).max(initial=0.0)),
-        float(np.abs(u).max(initial=0.0)),
-        float(np.abs(low).max(initial=0.0)),
-        1.0,
-    )
-    return bool(
-        np.all(np.abs(u - np.conj(low)) <= 1e-12 * scale)
-        and np.all(d.imag <= 1e-12 * scale)
-    )
+    tol = 1e-12 * m.inf_norm()
+    return bool(np.all(np.abs(m.upper - np.conj(m.lower)) <= tol) and np.all(m.diag.imag <= tol))
 
 
 def _rk4(H: np.ndarray, h: float, x: np.ndarray, c: complex = -1j) -> np.ndarray:
@@ -223,7 +215,11 @@ def _to_gauge(psi: np.ndarray, g: np.ndarray, real: bool) -> np.ndarray:
 
 
 def _step_count(t: float, dt: float, name: str) -> tuple[int, float]:
-    """Full steps of size dt up to time t (named ``name`` in errors), and the remainder."""
+    """Full steps of size dt up to time t (named ``name`` in errors), and the remainder.
+
+    The remainder is 0.0 unless it exceeds 1e-9 dt, so a t that is a
+    multiple of dt up to rounding takes no tail step, at any scale of dt.
+    """
     if not (math.isfinite(dt) and math.isfinite(t)):
         raise ValueError(f"dt and {name} must be finite")
     if dt <= 0:
@@ -231,7 +227,8 @@ def _step_count(t: float, dt: float, name: str) -> tuple[int, float]:
     if t < 0:
         raise ValueError(f"{name} must be non-negative")
     steps = int(math.floor(t / dt + 1e-9))
-    return steps, t - steps * dt
+    rem = t - steps * dt
+    return steps, rem if rem > 1e-9 * dt else 0.0
 
 
 def _require_finite(norms: np.ndarray, times: np.ndarray) -> None:
@@ -276,7 +273,7 @@ def _propagate(
         if steps:
             power = power @ power
             bound = bound**2  # ||A^2|| <= ||A||^2
-    if rem > 1e-12:
+    if rem:
         x = _rk4(A, rem, x, c)
     psi = g * x.view(complex)[..., 0]
     if not np.isfinite(psi).all():
@@ -301,7 +298,7 @@ def evolve(
     psi = _amplitudes(psi0)
     if len(psi) != m.L:
         raise ValueError(f"state has {len(psi)} sites, matrix has {m.L}")
-    absorbing = np.array([_is_absorbing(m.diag, m.upper, m.lower)])
+    absorbing = np.array([_is_absorbing(m)])
     return StateVector(_propagate(m.to_dense()[None], psi[None], t, dt, absorbing)[0])
 
 
@@ -326,8 +323,8 @@ def norm_trace(
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
         raise ValueError("initial state must have unit norm")
     steps, rem = _step_count(t_max, dt, "t_max")
-    absorbing = _is_absorbing(m.diag, m.upper, m.lower)
-    tail = rem > 1e-12
+    absorbing = _is_absorbing(m)
+    tail = rem > 0
     times = dt * np.arange(steps + 1 + tail, dtype=float)
     if tail:
         times[-1] = t_max
@@ -402,9 +399,10 @@ def min_norm_gamma(
     defaults to 3 L.
 
     For "uniform_eigen" the state is built from the eigenbasis at each
-    grid value; where that basis is numerically defective (a coalescence
-    point) the value is nudged by +1e-6 and the nudged chain is used, with
-    the effective value recorded in the result rows.
+    grid value; where the spectrum has a repeated eigenvalue (a
+    coalescence point, where that basis is defective) the value is nudged
+    by +1e-6 and the nudged chain is used, with the effective value
+    recorded in the result rows.
 
     All grid points evolve as one stack of chains, each computed
     independently of the others.
@@ -431,14 +429,14 @@ def min_norm_gamma(
             s = spectrum(mats[i])
             try:
                 state = uniform_eigen(s)
-            except ValueError:  # defective eigenbasis: detune and rebuild
+            except ValueError:  # repeated eigenvalue: detune and rebuild
                 effective[i] = g + _DEFECTIVE_NUDGE
                 mats[i] = as_matrix(builder(effective[i]))
                 state = uniform_eigen(spectrum(mats[i]))
             states.append(state.amplitudes)
 
     H = np.stack([m.to_dense() for m in mats])
-    absorbing = np.array([_is_absorbing(m.diag, m.upper, m.lower) for m in mats])
+    absorbing = np.array([_is_absorbing(m) for m in mats])
     final = _propagate(H, np.stack(states), float(t_final), dt, absorbing)
     norms = np.linalg.norm(final, axis=-1)
 
