@@ -35,6 +35,8 @@ __all__ = [
     "legacy",
     "random_spec",
     "check_symmetry",
+    "real_gauge",
+    "band_matrices",
     "spec_to_json",
     "spec_from_json",
 ]
@@ -191,10 +193,7 @@ class TridiagonalMatrix:
         return len(self.diag)
 
     def to_dense(self) -> np.ndarray:
-        H = np.diag(self.diag)
-        if self.L > 1:
-            H += np.diag(self.upper, 1) + np.diag(self.lower, -1)
-        return H
+        return band_matrices(self.diag, self.upper, self.lower)
 
     def inf_norm(self) -> float:
         """Maximum absolute row sum; cheap scale estimate for tolerances."""
@@ -204,6 +203,37 @@ class TridiagonalMatrix:
             s[:-1] += np.abs(self.upper)
             s[1:] += np.abs(self.lower)
         return float(s.max())
+
+
+def real_gauge(diag: np.ndarray, upper: np.ndarray,
+               lower: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Bands (diagonal, upper, lower) of the real T = tridiag(lower, i*diag, -upper), or None.
+
+    The bands are those of one tridiagonal H or of a stack of them.  When
+    every potential is purely imaginary and every hopping real -- ``diag``
+    with zero real part, ``upper`` and ``lower`` with zero imaginary part,
+    exactly, with no tolerance -- then i H = D T D^-1 with D = diag(i^j),
+    so eig(H) = -i eig(T) and the spectrum is symmetric under
+    lambda -> -conj(lambda).  Otherwise None.  Forming T rounds nothing.
+    """
+    if np.count_nonzero(diag.real) or np.count_nonzero(upper.imag) or np.count_nonzero(lower.imag):
+        return None
+    return -diag.imag, -upper.real, lower.real
+
+
+def band_matrices(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Dense (..., n, n) tridiagonal matrices from bands (..., n) and (..., n-1).
+
+    ``upper`` and ``lower`` broadcast to the leading shape of ``diag``; the
+    dtype is that of the three bands' sum.
+    """
+    lead, n = diag.shape[:-1], diag.shape[-1]
+    H = np.zeros((*lead, n, n), dtype=np.result_type(diag, upper, lower))
+    flat = H.reshape(*lead, n * n)
+    flat[..., :: n + 1] = diag
+    flat[..., 1 :: n + 1] = upper
+    flat[..., n :: n + 1] = lower
+    return H
 
 
 def build(spec: ChainSpec) -> TridiagonalMatrix:

@@ -30,7 +30,7 @@ the characteristic polynomial by the Faddeev-LeVerrier trace recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -188,12 +188,16 @@ def verify_at_relation(spec: ChainSpec) -> float:
 
     Returns the larger of the two relative coefficient-norm deviations;
     both identities hold for every chain with eta_{k-1} != 0, so the
-    residual is at rounding level.
+    residual is at rounding level.  The products are those of the spec
+    divided by ||H||_inf, as in ``verify_pc``, so the residual does not
+    change under H -> cH.
     """
-    eta_last = _spec_etas(spec)[-1]
-    if abs(eta_last) == 0.0:
+    if abs(_spec_etas(spec)[-1]) == 0.0:
         raise ValueError("degenerate chain: the bond product eta_{k-1} vanishes, "
                          "the second identity is undefined")
+    s = build(spec).inf_norm()
+    spec = replace(spec, **{name: tuple(z / s for z in getattr(spec, name)) for name in "abc"})
+    eta_last = _spec_etas(spec)[-1]
     T, A = transfer_T(spec), transfer_A(spec)
     r1 = (A[0, 0] - T[0, 0]).norm() / T[0, 0].norm()
     # compare eta_{k-1} * A12 + T12 == 0 to avoid dividing coefficients

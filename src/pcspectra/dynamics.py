@@ -14,14 +14,14 @@ the states of up to 16 blocks from one matrix product.  Each chain of a
 stack is computed independently of the others.
 
 Every chain of the paper has real hoppings and purely imaginary gain or
-loss potentials.  With D = diag(i^j) such an H satisfies i H = D R D^-1
-with R real, so P^N = D P_R^N D^-1 where P_R is the stability polynomial
-of -dt R: the powers are real matrix products, the states are carried as
-real and imaginary parts of D^-1 psi, and D, being unitary, changes no
-norm.  The gauge is taken when every entry of R is exactly real (the
-phases are powers of i, so forming R rounds nothing); any other stack,
-with a complex hopping or a real potential, runs the same code with
-D = 1 in complex arithmetic.
+loss potentials.  Exactly then (``chain.real_gauge``, no tolerance) H
+satisfies i H = D T D^-1 with D = diag(i^j) and the real tridiagonal
+T = tridiag(lower, i*diag, -upper), so its spectrum is exactly symmetric
+under lambda -> -conj(lambda) and P^N = D P_T^N D^-1, where P_T is the
+stability polynomial of -dt T: the powers are real matrix products, the
+states are carried as real and imaginary parts of D^-1 psi, and D, being
+unitary, changes no norm.  A stack with a complex hopping or a real
+potential runs the same code with D = 1 in complex arithmetic.
 
 The survival norm ||psi(t)|| of an initially normalized state is the
 central observable.  For purely absorbing chains (Hermitian hopping,
@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, TridiagonalMatrix, as_matrix
+from .chain import ChainSpec, TridiagonalMatrix, as_matrix, band_matrices, real_gauge
 from .eig import Spectrum, spectrum
 
 __all__ = [
@@ -195,17 +195,15 @@ def _rk4(H: np.ndarray, h: float, x: np.ndarray, c: complex = -1j) -> np.ndarray
 def _gauge(H: np.ndarray) -> tuple[np.ndarray, complex, np.ndarray]:
     """(A, c, g) with -i H = c D A D^-1 and D = diag(g), A real where possible.
 
-    With g_j = i^j, A = i conj(g_j) H_jk g_k multiplies each entry of H by
-    a power of i, which is exact, so A is real exactly when every hopping
-    of the stack is real and every potential imaginary; then c = -1.
-    Otherwise A = H, c = -1j and g = 1.  D is unitary, so states carried
+    H is a stack of tridiagonal matrices.  Where ``real_gauge`` holds for
+    its bands, A is the real T of every chain, c = -1 and g_j = i^j;
+    otherwise A = H, c = -1j and g = 1.  D is unitary, so states carried
     as conj(g) psi and operators as A have the norms of psi and of -i H.
     """
-    g = _PHASES[np.arange(H.shape[-1]) % 4]
-    R = H * (1j * np.conj(g)[:, None] * g)
-    if R.imag.any():
-        return H, -1j, np.ones(len(g), dtype=complex)
-    return np.ascontiguousarray(R.real), -1.0, g
+    bands = real_gauge(*(np.diagonal(H, offset, -2, -1) for offset in (0, 1, -1)))
+    if bands is None:
+        return H, -1j, np.ones(H.shape[-1], dtype=complex)
+    return band_matrices(*bands), -1.0, _PHASES[np.arange(H.shape[-1]) % 4]
 
 
 def _to_gauge(psi: np.ndarray, g: np.ndarray, real: bool) -> np.ndarray:

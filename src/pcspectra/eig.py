@@ -23,6 +23,17 @@ within 1e-6 of each other is reported at its mean.  Close eigenvalues alone
 do not link: an edge-state pair can lie 1e-13*||H|| apart with independent
 eigenvectors.
 
+Every chain of the paper has real hoppings and purely imaginary
+potentials.  Exactly then (``chain.real_gauge``, no tolerance)
+i H = D T D^-1 with D = diag(i^j) and the real tridiagonal
+T = tridiag(lower, i*diag, -upper), so eig(H) = -i eig(T) and the spectrum
+is exactly symmetric under lambda -> -conj(lambda).  LAPACK then gets the
+real T -- whole, as the half chain, or as both sectors at Delta < 0 --
+whose eigenvalues come in exact conjugate pairs, so values on the
+imaginary axis have real part exactly 0.  At Delta > 0 the two sectors of
+such a chain are each other's reflection: sector 0 alone goes to LAPACK
+and sector 1 is reported as -conj of its values.
+
 Eigenvectors come from the forward row recursion: once z_1 is fixed every
 further component follows row by row, which is also why coalescing
 eigenvalues drag their eigenvectors into coalescence.  It runs for all
@@ -35,11 +46,12 @@ broken by ascending imaginary part -- so coalesced partners are adjacent.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TridiagonalMatrix
+from .chain import TridiagonalMatrix, band_matrices, real_gauge
 
 __all__ = [
     "Spectrum",
@@ -58,6 +70,8 @@ _COINCIDE = 1e-6
 # Such vectors have eigenvalues within about 2*_COINCIDE*||H|| plus their two
 # residuals (each at most _RESIDUAL_REL*||H||); only pairs this close are compared.
 _CANDIDATE_REL = 1e-4
+# _recursion skips its rescale test while every entry is provably below 1e149
+_LOG_GROWTH_BOUND = np.log(1e149)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,18 +129,28 @@ def _pairs_within(eigs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _recursion(m: TridiagonalMatrix, lams: np.ndarray) -> np.ndarray:
-    """Solve the eigenvalue rows for z_2..z_L given z_1 = 1; one column per lambda."""
+    """Solve the eigenvalue rows for z_2..z_L given z_1 = 1; one column per lambda.
+
+    A column whose entry passes 1e150 is rescaled (only its direction
+    matters).  Row j + 1 is at most g_j times the larger of rows j and
+    j - 1, so no entry passes the product of max(1, g_j); while that bound
+    stays below 1e149 the per-row test is skipped, which changes no bit.
+    """
     L, d, u, low = m.L, m.diag, m.upper, m.lower
     z = np.zeros((L, len(lams)), dtype=complex)
     z[0] = 1.0
     if L > 1:
         z[1] = (lams - d[0]) / u[0]
+    reach = np.abs(lams - d[: L - 1, None]).max(axis=1)
+    reach[1:] += np.abs(low[: L - 2])
+    checked = not np.log(np.maximum(reach / np.abs(u), 1.0)).sum() < _LOG_GROWTH_BOUND
     for j in range(1, L - 1):
         z[j + 1] = ((lams - d[j]) * z[j] - low[j - 1] * z[j - 1]) / u[j]
-        top = np.abs(z[j + 1])
-        big = top > 1e150  # rescale a growing solution; only direction matters
-        if big.any():
-            z[: j + 2, big] /= top[big]
+        if checked:
+            top = np.abs(z[j + 1])
+            big = top > 1e150
+            if big.any():
+                z[: j + 2, big] /= top[big]
     return z
 
 
@@ -233,7 +257,12 @@ def eigenvector_for(m: TridiagonalMatrix, lam: complex) -> np.ndarray:
 
 
 def _coalesce(m: TridiagonalMatrix, eigs: np.ndarray) -> np.ndarray:
-    """``eigs`` with every cluster of coinciding eigenvectors set to its mean."""
+    """``eigs`` with every cluster of coinciding eigenvectors set to its mean.
+
+    The mean is taken from correctly rounded sums, so it does not depend on
+    the order of the members, and a cluster's mirror image under
+    lambda -> -conj(lambda) gets exactly the mirrored mean.
+    """
     i, j = _pairs_within(eigs, _CANDIDATE_REL * m.inf_norm())
     if len(i) == 0:
         return eigs
@@ -244,7 +273,8 @@ def _coalesce(m: TridiagonalMatrix, eigs: np.ndarray) -> np.ndarray:
     eigs = eigs.copy()
     for g in _components(len(eigs), i[close], j[close]):
         if len(g) > 1:
-            eigs[g] = eigs[g].mean()
+            members = eigs[g]
+            eigs[g] = complex(math.fsum(members.real) / len(g), math.fsum(members.imag) / len(g))
     return eigs
 
 
@@ -274,6 +304,24 @@ def _halves(m: TridiagonalMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray] |
     return diags, ul, ll
 
 
+def _solve(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """LAPACK eigenvalues of one chain, or of a (2, k) sector pair, with these bands.
+
+    Where ``chain.real_gauge`` holds LAPACK gets the real T, and the values
+    -i eig(T) are exactly closed under lambda -> -conj(lambda).  Sectors with
+    real hoppings whose diagonals are each other's -conj have mirrored
+    spectra: sector 0 is solved alone and sector 1 reported as -conj of it.
+    """
+    bands = real_gauge(diag, upper, lower)
+    if bands is not None:
+        return -1j * np.linalg.eigvals(band_matrices(*bands)).ravel()
+    if (diag.ndim == 2 and (diag[1] == -np.conj(diag[0])).all()
+            and not (np.count_nonzero(upper.imag) or np.count_nonzero(lower.imag))):
+        eigs = np.linalg.eigvals(band_matrices(diag[0], upper, lower))
+        return np.concatenate([eigs, -np.conj(eigs)])
+    return np.linalg.eigvals(band_matrices(diag, upper, lower)).ravel()
+
+
 def eigenvalues(m: TridiagonalMatrix) -> np.ndarray:
     """All L eigenvalues (with multiplicity) in canonical order.
 
@@ -283,18 +331,12 @@ def eigenvalues(m: TridiagonalMatrix) -> np.ndarray:
     """
     halves = _halves(m)
     if halves is None:
-        eigs = np.linalg.eigvals(m.to_dense())
+        eigs = _solve(m.diag, m.upper, m.lower)
     else:
         diags, u, low = halves
         if (diags[0] == diags[1]).all():
             return np.repeat(eigenvalues(TridiagonalMatrix(diags[0], u, low)), 2)
-        k = diags.shape[1]
-        H = np.zeros((2, k, k), dtype=complex)
-        flat = H.reshape(2, k * k)
-        flat[:, :: k + 1] = diags
-        flat[:, 1 :: k + 1] = u
-        flat[:, k :: k + 1] = low
-        eigs = np.linalg.eigvals(H).ravel()
+        eigs = _solve(diags, u, low)
     eigs = _coalesce(m, eigs)
     return eigs[np.lexsort((eigs.imag, eigs.real))]
 

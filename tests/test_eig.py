@@ -7,20 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from pcspectra import eig
 from pcspectra.chain import (
     CentralBlock,
+    ChainSpec,
     TridiagonalMatrix,
+    as_matrix,
     build,
     family_a,
     family_b,
     family_c,
     family_d,
     legacy,
+    pc_delta,
     random_spec,
 )
 from pcspectra.eig import (
     _eigenvectors,
     _halves,
+    _recursion,
     cluster,
     cluster_members,
     distinct_count,
@@ -239,9 +244,10 @@ def test_perturbed_mirror_is_not_split(gamma):
     upper[k:] *= 1 + 1e-12
     bent = TridiagonalMatrix(diag, upper, m.lower)
     assert _halves(m) is not None and _halves(bent) is None
-    if gamma != 3.0:  # off PC nothing coalesces: exactly LAPACK's values
+    if gamma != 3.0:  # off PC nothing coalesces: exactly LAPACK's values of the real gauge
+        T = np.diag((1j * diag).real) + np.diag(-upper.real, 1) + np.diag(m.lower.real, -1)
         assert np.array_equal(np.sort_complex(eigenvalues(bent)),
-                              np.sort_complex(np.linalg.eigvals(bent.to_dense())))
+                              np.sort_complex(-1j * np.linalg.eigvals(T)))
 
 
 @pytest.mark.parametrize("spec", [
@@ -269,6 +275,147 @@ def test_nested_sectors_give_exact_quadruples(args, distinct):
     assert distinct_count(eigs, tol=1e-12) == distinct_count(eigs) == distinct
     if distinct * 4 == args[0]:
         assert all(np.array_equal(eigs[0::4], eigs[j::4]) for j in (1, 2, 3))
+
+
+# --- the real gauge ------------------------------------------------------------
+
+
+@st.composite
+def gauged_chains(draw):
+    """(chain, kind): real non-reciprocal hoppings, random flip mask, imaginary potentials.
+
+    ``kind`` is the sign of Delta for a mirrored chain, or "bent" for a chain
+    at Delta == 0 whose first site is moved off the mirror, by so little
+    that its pairs stay coalesced or by a tenth of its norm.
+    """
+    k = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["Delta < 0", "Delta == 0", "Delta > 0", "bent"]))
+    s = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    alpha, gamma = s * rng.normal(size=2)
+    # Delta = du*dl - (gamma - alpha)^2/4 vanishes exactly for du = dl = pc_delta
+    delta = pc_delta(alpha, gamma)
+    du, dl = {"Delta < 0": (0.5 * delta, -delta), "Delta > 0": (1.5 * delta, delta)}.get(
+        kind, (delta, delta))
+    spec = ChainSpec(k, tuple(1j * s * rng.normal(size=k - 1)),
+                     *(tuple(s * rng.normal(size=k - 1)) for _ in "bc"),
+                     CentralBlock(alpha, gamma, du, dl), rng.integers(0, 2, size=2 * k - 2) > 0,
+                     s * rng.normal())
+    m = build(spec)
+    if kind == "bent":
+        bend = draw(st.sampled_from([1e-12, 0.1]))
+        m = TridiagonalMatrix(m.diag + np.eye(m.L)[0] * bend * 1j * m.inf_norm(), m.upper, m.lower)
+    return m, kind
+
+
+def eigvals_inputs(m):
+    """``eigenvalues(m)`` and the dtypes of the matrices it handed LAPACK."""
+    dtypes, eigvals = [], np.linalg.eigvals
+
+    def spy(a):
+        dtypes.append(a.dtype)
+        return eigvals(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvals", spy)
+        return eigenvalues(m), dtypes
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(chain=gauged_chains(), part=st.sampled_from(["hopping", "potential"]))
+def test_gauged_chains_take_real_lapack(chain, part):
+    m, kind = chain
+    assert (_halves(m) is None) == (kind == "bent")
+    eigs, dtypes = eigvals_inputs(m)
+    # reflected sectors are solved as one complex sector; the half chain at
+    # Delta == 0 may split again, so only its own values are checked
+    want = {"Delta < 0": [np.float64], "Delta > 0": [np.complex128], "bent": [np.float64]}
+    assert dtypes == want.get(kind, dtypes)
+    assert np.array_equal(np.sort_complex(eigs), np.sort_complex(-np.conj(eigs)))
+    assert multiset_distance(eigs, np.linalg.eigvals(m.to_dense())) <= EIG_MATCH_REL * m.inf_norm()
+    # one complex hopping or one real potential: exactly complex LAPACK's values
+    diag, upper = m.diag.copy(), m.upper.copy()
+    if part == "hopping":
+        upper[0] += 0.1j * abs(upper[0])
+    else:
+        diag[0] += 0.1 * m.inf_norm()
+    off = TridiagonalMatrix(diag, upper, m.lower)
+    eigs, dtypes = eigvals_inputs(off)
+    assert dtypes == [np.complex128]
+    assert np.array_equal(np.sort_complex(eigs), np.sort_complex(np.linalg.eigvals(off.to_dense())))
+
+
+@pytest.mark.parametrize("spec", [
+    legacy(10, 0.0, 2.5),
+    family_b(12, 1.0, 1.5, 0.0, 3.2),
+    family_d(12, 2.4, 1.2, 2.4),
+])
+def test_imaginary_eigenvalues_are_ordered_exactly(spec):
+    # real parts that are zero in exact arithmetic are exactly zero, so the
+    # canonical order of these values does not depend on rounding
+    m = as_matrix(spec)
+    eigs = eigenvalues(m)
+    axis = np.flatnonzero(np.abs(eigs.real) <= 1e-9 * m.inf_norm())
+    assert len(axis) >= 2
+    assert (eigs.real[axis] == 0.0).all()
+    assert np.array_equal(axis, np.arange(axis[0], axis[-1] + 1))
+    assert (np.diff(eigs.imag[axis]) >= 0).all()
+
+
+# --- eigenvector recursion -----------------------------------------------------
+
+
+def checked_recursion(m, lams):
+    """The eigenvector recursion with its rescale test on every row."""
+    L, d, u, low = m.L, m.diag, m.upper, m.lower
+    z = np.zeros((L, len(lams)), dtype=complex)
+    z[0] = 1.0
+    if L > 1:
+        z[1] = (lams - d[0]) / u[0]
+    for j in range(1, L - 1):
+        z[j + 1] = ((lams - d[j]) * z[j] - low[j - 1] * z[j - 1]) / u[j]
+        top = np.abs(z[j + 1])
+        big = top > 1e150
+        if big.any():
+            z[: j + 2, big] /= top[big]
+    return z
+
+
+def log10_growth_bound(m, lams):
+    """log10 of prod_j max(1, g_j): no entry of the unscaled recursion can exceed it."""
+    reach = np.abs(lams - m.diag[: m.L - 1, None]).max(axis=1)
+    reach[1:] += np.abs(m.lower[:-1])
+    return np.log10(np.maximum(reach / np.abs(m.upper), 1.0)).sum()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_recursion_equals_row_checked_loop(seed):
+    rng = np.random.default_rng(seed)
+    m = random_matrix(rng, int(rng.integers(2, 80)))
+    # eigenvalues, and points far off the spectrum whose columns grow past 1e150
+    far = 10.0 ** rng.uniform(0, 8, size=5) * np.exp(2j * np.pi * rng.random(5))
+    for lams in (eigenvalues(m), far):
+        assert np.array_equal(_recursion(m, lams), checked_recursion(m, lams))
+
+
+def test_recursion_on_hatano_nelson_equals_row_checked_loop(monkeypatch):
+    # components grow 100-fold per site, so the rows must be checked.  The
+    # exact eigenvalues are used: LAPACK's are far off on so non-normal a chain
+    L, up, lo = 200, 0.01, 100.0
+    m = TridiagonalMatrix(np.zeros(L), np.full(L - 1, up), np.full(L - 1, lo))
+    lams = 2 * np.sqrt(up * lo) * np.cos(np.arange(1, L + 1) * np.pi / (L + 1))
+    bounds = []
+
+    def spy(m, lams):
+        z = _recursion(m, lams)
+        assert np.array_equal(z, checked_recursion(m, lams))
+        bounds.append(log10_growth_bound(m, lams))
+        return z
+
+    monkeypatch.setattr(eig, "_recursion", spy)
+    V = _eigenvectors(m, lams.astype(complex))
+    assert bounds and min(bounds) > 150
+    assert np.linalg.norm(m.to_dense() @ V - V * lams, axis=0).max() <= 1e-6 * m.inf_norm()
 
 
 # --- one-column eigenvectors -------------------------------------------------

@@ -25,7 +25,7 @@ from pcspectra.chain import (
     pc_delta,
     random_spec,
 )
-from pcspectra.charpoly import square_factor, verify_pc
+from pcspectra.charpoly import square_factor, verify_at_relation, verify_pc
 from pcspectra.dynamics import evolve, norm_trace, uniform_eigen, uniform_site
 from pcspectra.eig import eigenvalues, spectrum
 
@@ -98,6 +98,7 @@ def test_verdicts_are_scale_covariant(spec, bend):
             G.coeffs, F.coeffs * c ** np.arange(spec.k, -1, -1)))
         if spec.central.is_restricted:
             assert verify_pc(spec_c).residual == verify_pc(spec).residual
+        assert verify_at_relation(spec_c) == verify_at_relation(spec)
         assert np.array_equal(eigenvalues(m_c), c * eigs)
         assert_same(outcome(uniform_eigen, spectrum(m_c)), state,
                     lambda a, b: np.array_equal(a.amplitudes, b.amplitudes))
