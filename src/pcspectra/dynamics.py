@@ -192,18 +192,22 @@ def _rk4(H: np.ndarray, h: float, x: np.ndarray, c: complex = -1j) -> np.ndarray
     return y
 
 
-def _gauge(H: np.ndarray) -> tuple[np.ndarray, complex, np.ndarray]:
+def _gauge(diag: np.ndarray, upper: np.ndarray,
+           lower: np.ndarray) -> tuple[np.ndarray, complex, np.ndarray]:
     """(A, c, g) with -i H = c D A D^-1 and D = diag(g), A real where possible.
 
-    H is a stack of tridiagonal matrices.  Where ``real_gauge`` holds for
-    its bands, A is the real T of every chain, c = -1 and g_j = i^j;
-    otherwise A = H, c = -1j and g = 1.  D is unitary, so states carried
-    as conj(g) psi and operators as A have the norms of psi and of -i H.
+    H is the tridiagonal matrix with these bands, or the stack of them
+    (bands (G, L) and (G, L-1)), and A is the only dense matrix formed.
+    Where ``real_gauge`` holds for the bands, A is the real T of every
+    chain, c = -1 and g_j = i^j; otherwise A = H, c = -1j and g = 1.  D is
+    unitary, so states carried as conj(g) psi and operators as A have the
+    norms of psi and of -i H.
     """
-    bands = real_gauge(*(np.diagonal(H, offset, -2, -1) for offset in (0, 1, -1)))
+    L = diag.shape[-1]
+    bands = real_gauge(diag, upper, lower)
     if bands is None:
-        return H, -1j, np.ones(H.shape[-1], dtype=complex)
-    return band_matrices(*bands), -1.0, _PHASES[np.arange(H.shape[-1]) % 4]
+        return band_matrices(diag, upper, lower), -1j, np.ones(L, dtype=complex)
+    return band_matrices(*bands), -1.0, _PHASES[np.arange(L) % 4]
 
 
 def _to_gauge(psi: np.ndarray, g: np.ndarray, real: bool) -> np.ndarray:
@@ -239,24 +243,26 @@ def _require_finite(norms: np.ndarray, times: np.ndarray) -> None:
 # an unstable dt overflows the states; that is raised as RuntimeError, not warned
 @np.errstate(over="ignore", invalid="ignore")
 def _propagate(
-    H: np.ndarray, psi: np.ndarray, t: float, dt: float, absorbing: np.ndarray
+    mats: Sequence[TridiagonalMatrix], psi: np.ndarray, t: float, dt: float
 ) -> np.ndarray:
-    """States psi (G, L) evolved to time t under the stacked H (G, L, L).
+    """States psi (G, L) evolved to time t, psi[i] under the chain mats[i].
 
     The floor(t/dt) full steps are applied as P^N by binary powering, then
     one shortened step covers the remainder, both in the gauge of
-    ``_gauge``.  On the chains flagged in ``absorbing`` every power
-    P^(2^j) formed must have 2-norm at most 1 + slack, and no final norm
-    may exceed its initial one by more than that factor.  Bounding
+    ``_gauge`` on the stacked bands.  On purely absorbing chains every
+    power P^(2^j) formed must have 2-norm at most 1 + slack, and no final
+    norm may exceed its initial one by more than that factor.  Bounding
     ||P||^N instead trips falsely at long t.  A final state that is not
     finite raises RuntimeError on any chain.
     """
     steps, rem = _step_count(t, dt, "t")
     n0 = np.linalg.norm(psi, axis=-1)
-    A, c, g = _gauge(H)
+    absorbing = np.array([_is_absorbing(m) for m in mats])
+    A, c, g = _gauge(np.stack([m.diag for m in mats]), np.stack([m.upper for m in mats]),
+                     np.stack([m.lower for m in mats]))
     x = _to_gauge(psi, g, np.isrealobj(A))
-    power = _rk4(A, dt, np.eye(H.shape[-1]), c)  # ||power||_2 = ||P||_2, D is unitary
-    bound = np.full(len(H), np.inf)  # >= ||power||_2 per chain
+    power = _rk4(A, dt, np.eye(psi.shape[-1]), c)  # ||power||_2 = ||P||_2, D is unitary
+    bound = np.full(len(mats), np.inf)  # >= ||power||_2 per chain
     while steps:
         # an SVD only where the squared bound no longer proves contraction
         over = absorbing & (bound > 1.0 + _GROWTH_SLACK)
@@ -296,8 +302,7 @@ def evolve(
     psi = _amplitudes(psi0)
     if len(psi) != m.L:
         raise ValueError(f"state has {len(psi)} sites, matrix has {m.L}")
-    absorbing = np.array([_is_absorbing(m)])
-    return StateVector(_propagate(m.to_dense()[None], psi[None], t, dt, absorbing)[0])
+    return StateVector(_propagate([m], psi[None], t, dt)[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -329,7 +334,7 @@ def norm_trace(
     norms = np.empty_like(times)
     norms[0] = 1.0
     L, B = m.L, _BLOCK
-    A, c, g = _gauge(m.to_dense())
+    A, c, g = _gauge(m.diag, m.upper, m.lower)
     row = _to_gauge(psi, g, np.isrealobj(A)).T  # the state as k = 2 real or 1 complex rows
     k = len(row)
     # Q[i] = P^(i+1) in the gauge: every state of a block of B steps is Q times its start
@@ -433,9 +438,7 @@ def min_norm_gamma(
                 state = uniform_eigen(spectrum(mats[i]))
             states.append(state.amplitudes)
 
-    H = np.stack([m.to_dense() for m in mats])
-    absorbing = np.array([_is_absorbing(m) for m in mats])
-    final = _propagate(H, np.stack(states), float(t_final), dt, absorbing)
+    final = _propagate(mats, np.stack(states), float(t_final), dt)
     norms = np.linalg.norm(final, axis=-1)
 
     rows = [(grid[i], effective[i], float(norms[i])) for i in range(len(grid))]

@@ -37,9 +37,9 @@ and sector 1 is reported as -conj of its values.
 Eigenvectors come from the forward row recursion: once z_1 is fixed every
 further component follows row by row, which is also why coalescing
 eigenvalues drag their eigenvectors into coalescence.  It runs for all
-eigenvalues at once, or on Python scalars for a single one.  A column with
-a poor residual, or every column when a superdiagonal entry is
-(numerically) zero, takes inverse iteration.
+requested eigenvalues at once, one column each, for ``spectrum`` and
+``eigenvector_for`` alike.  A column with a poor residual, or every column
+when a superdiagonal entry is (numerically) zero, takes inverse iteration.
 
 Eigenvalues are reported in canonical order -- ascending real part, ties
 broken by ascending imaginary part -- so coalesced partners are adjacent.
@@ -154,21 +154,6 @@ def _recursion(m: TridiagonalMatrix, lams: np.ndarray) -> np.ndarray:
     return z
 
 
-def _column(m: TridiagonalMatrix, lam: complex) -> np.ndarray | None:
-    """``_recursion`` for one lambda on Python scalars; None if a value overflows."""
-    d, u, low = m.diag.tolist(), m.upper.tolist(), m.lower.tolist()
-    z = [1.0 + 0j, (lam - d[0]) / u[0]]
-    try:
-        for j in range(1, m.L - 1):
-            z.append(((lam - d[j]) * z[j] - low[j - 1] * z[j - 1]) / u[j])
-            top = abs(z[-1])
-            if top > 1e150:
-                z = [x / top for x in z]
-    except OverflowError:
-        return None
-    return np.array(z)[:, None]
-
-
 def _residuals(m: TridiagonalMatrix, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
     """||H v - lambda v|| for every column v of V."""
     HV = m.diag[:, None] * V
@@ -192,7 +177,8 @@ def _inverse_iteration(m: TridiagonalMatrix, lam: complex, scale: float) -> np.n
     """Phase-fixed eigenvector for ``lam``; raises ArithmeticError on a poor residual.
 
     The fixed seed keeps results reproducible; the tiny diagonal nudge keeps
-    the solve away from exact singularity.
+    the solve away from exact singularity, and a shift that is singular at
+    both nudges yields no vector, so it fails the residual check too.
     """
     L, H = m.L, m.to_dense()
     shifted = H - (lam + 1e-12 * scale) * np.eye(L)
@@ -205,7 +191,11 @@ def _inverse_iteration(m: TridiagonalMatrix, lam: complex, scale: float) -> np.n
                 v = np.linalg.solve(shifted, v)
             except np.linalg.LinAlgError:
                 shifted = H - (lam + 1e-10 * scale) * np.eye(L)
-                v = np.linalg.solve(shifted, v)
+                try:
+                    v = np.linalg.solve(shifted, v)
+                except np.linalg.LinAlgError:  # singular again: the NaN fails the check
+                    v = np.full(L, np.nan + 0j)
+                    break
             v /= np.linalg.norm(v)
         v = _normalize_phase(v[:, None])
         resid = _residuals(m, np.array([lam]), v)[0]
@@ -229,13 +219,9 @@ def _eigenvectors(m: TridiagonalMatrix, lams: np.ndarray) -> np.ndarray:
         return V
 
     scale = max(m.inf_norm(), 1e-300)
-    # a single column runs on Python scalars: numpy's per-row dispatch would dominate
-    z = None
     if np.abs(m.upper).min() >= _RECURSION_BREAKDOWN_REL * scale:
-        z = _recursion(m, lams) if n > 1 else _column(m, complex(lams[0]))
-    if z is not None:
         with np.errstate(all="ignore"):  # overflowed columns fail the residual check
-            V = _normalize_phase(z)
+            V = _normalize_phase(_recursion(m, lams))
             failed = ~(_residuals(m, lams, V) <= _RESIDUAL_REL * scale)
     else:
         V, failed = np.empty((L, n), dtype=complex), np.ones(n, dtype=bool)
@@ -247,9 +233,11 @@ def _eigenvectors(m: TridiagonalMatrix, lams: np.ndarray) -> np.ndarray:
 def eigenvector_for(m: TridiagonalMatrix, lam: complex) -> np.ndarray:
     """Normalized right eigenvector for an eigenvalue ``lam``.
 
-    Uses the forward row recursion when every superdiagonal entry is
+    Runs the code that gives ``spectrum`` its columns, on this one
+    eigenvalue: the forward row recursion when every superdiagonal entry is
     significant, otherwise (or when the recursion's residual is poor)
-    inverse iteration from a fixed-seed random start.  The result has unit
+    inverse iteration from a fixed-seed random start.  So it matches the
+    column of ``spectrum`` for ``lam`` to rounding.  The result has unit
     2-norm and its first significant component is positive real.  Raises
     ArithmeticError when no vector reaches residual 1e-6 * ||H||.
     """

@@ -275,7 +275,7 @@ def test_gauge_matches_complex_reference(kind):
     dt = 0.01
     for L in Ls:
         m = lossy_chain(rng, L, kind)
-        assert np.isrealobj(_gauge(m.to_dense())[0]) == (kind == "gauged")
+        assert np.isrealobj(_gauge(m.diag, m.upper, m.lower)[0]) == (kind == "gauged")
         psi0 = rng.normal(size=L) + 1j * rng.normal(size=L)
         psi0 /= np.linalg.norm(psi0)
         t = dt * int(rng.integers(20, 400)) + 0.37 * dt
@@ -298,9 +298,27 @@ def test_family_chains_take_the_real_gauge():
     for spec in (legacy(12, 0.3, 2.0), family_a(10, 0.2, 1.0, 0.4, 0.3),
                  family_b(22, 1.0, 1.5, 0.0, 3.0), family_c(24, 1.5, 1.5, 1.0, 0.0, 2.0),
                  family_d(12, 2.0, 1.0, 2.0)):
-        assert np.isrealobj(_gauge(as_matrix(spec).to_dense())[0])
+        m = as_matrix(spec)
+        assert np.isrealobj(_gauge(m.diag, m.upper, m.lower)[0])
     # a complex edge term -i*beta puts a real part on the edge sites
-    assert not np.isrealobj(_gauge(build(family_a(10, 0.2, 1.0, 0.4, 0.3 + 0.1j)).to_dense())[0])
+    m = build(family_a(10, 0.2, 1.0, 0.4, 0.3 + 0.1j))
+    assert not np.isrealobj(_gauge(m.diag, m.upper, m.lower)[0])
+
+
+def test_family_chain_dynamics_form_no_complex_dense_matrix(monkeypatch):
+    # a gauged chain's operators are built from its bands as the real T alone
+    def refuse(self):
+        raise AssertionError("to_dense called")
+
+    monkeypatch.setattr(TridiagonalMatrix, "to_dense", refuse)
+    m = build(family_b(12, 1.0, 1.5, 0.0, 2.5))
+    psi0 = uniform_site(12)
+    assert np.isfinite(evolve(m, psi0, 1.5).norm())
+    assert np.isfinite(norm_trace(m, psi0, 1.5).norms).all()
+    for kind in ("wavepacket", "uniform_site"):
+        res = min_norm_gamma(lambda g: family_b(12, 1.0, 1.5, 0.0, g), [2.0, 2.5], kind=kind,
+                             t_final=1.5)
+        assert len(res.rows) == 2
 
 
 def test_guard_skips_the_svd_when_every_bound_holds(monkeypatch):

@@ -422,17 +422,20 @@ def test_recursion_on_hatano_nelson_equals_row_checked_loop(monkeypatch):
 
 
 def test_eigenvector_for_matches_spectrum_columns():
-    # numpy's vector loops may fuse multiply-adds where Python scalars round
-    # twice; the recursion amplifies that last-bit difference along the chain
-    # (to ~1e-9 at L = 15 on random chains), so the chains here are short
     rng = np.random.default_rng(12)
-    chains = [random_matrix(rng, int(rng.integers(2, 9))) for _ in range(40)]
+    chains = [random_matrix(rng, int(rng.integers(2, 61))) for _ in range(40)]
+    for seed in range(20):
+        k = int(rng.integers(2, 21))
+        central = CentralBlock(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        spec = random_spec(k, seed=seed, central=central)
+        chains.append(build(spec.with_flip_mask(rng.random(2 * k - 2) < 0.5)))
     chains += [build(spec) for L in (10, 30) for spec in
                (family_b(L, 1.0, 1.5, 0.0, 3.1), legacy(L, 0.0, 2.2), family_a(L, 0.3, 2.0, 0.4))]
+    chains += [build(legacy(104, 0.0, 2.0)), build(family_b(104, 1.0, 1.5, 0.0, 2.5))]
     for m in chains:
         s = spectrum(m)
         for mu in range(m.L):
-            assert np.abs(eigenvector_for(m, s.eigenvalues[mu]) - s.eigenvectors[:, mu]).max() < 1e-12
+            assert np.abs(eigenvector_for(m, s.eigenvalues[mu]) - s.eigenvectors[:, mu]).max() < 1e-14
 
 
 def test_eigenvector_for_rescales_a_growing_solution():
@@ -450,6 +453,15 @@ def test_eigenvector_for_rescales_a_growing_solution():
         v = eigenvector_for(m, lam)
         assert np.abs(v - want).max() < 1e-12
         assert np.abs(v - _eigenvectors(m, np.array([lam, lam]))[:, 0]).max() < 1e-12
+
+
+def test_spectrum_of_hatano_nelson_raises_arithmetic_error():
+    # LAPACK's eigenvalues of so non-normal a chain are far off, and the shifted
+    # solves of inverse iteration are singular at both nudges for one of them
+    L, up, lo = 200, 0.01, 100.0
+    m = TridiagonalMatrix(np.zeros(L), np.full(L - 1, up), np.full(L - 1, lo))
+    with pytest.raises(ArithmeticError, match="no eigenvector"):
+        spectrum(m)
 
 
 def test_eigenvector_for_takes_inverse_iteration_on_tiny_superdiagonal():
