@@ -37,6 +37,7 @@ __all__ = [
     "check_symmetry",
     "real_gauge",
     "band_matrices",
+    "band_inf_norm",
     "spec_to_json",
     "spec_from_json",
 ]
@@ -130,15 +131,11 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "a", tuple(complex(z) for z in self.a))
-        object.__setattr__(self, "b", tuple(complex(z) for z in self.b))
-        object.__setattr__(self, "c", tuple(complex(z) for z in self.c))
         for name in ("a", "b", "c"):
-            arr = getattr(self, name)
+            arr = tuple(complex(z) for z in getattr(self, name))
             if len(arr) != self.k - 1:
-                raise ValueError(
-                    f"{name} must have length k-1={self.k - 1}, got {len(arr)}"
-                )
+                raise ValueError(f"{name} must have length k-1={self.k - 1}, got {len(arr)}")
+            object.__setattr__(self, name, arr)
         if self.flip_mask is None:
             object.__setattr__(self, "flip_mask", _default_flip_mask(self.k))
         else:
@@ -176,9 +173,8 @@ class TridiagonalMatrix:
     lower: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=complex))
-        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=complex))
-        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=complex))
+        for name in ("diag", "upper", "lower"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
         L = len(self.diag)
         if L < 1:
             raise ValueError("matrix must have at least one site")
@@ -197,12 +193,15 @@ class TridiagonalMatrix:
 
     def inf_norm(self) -> float:
         """Maximum absolute row sum; cheap scale estimate for tolerances."""
-        L = self.L
-        s = np.abs(self.diag).astype(float)
-        if L > 1:
-            s[:-1] += np.abs(self.upper)
-            s[1:] += np.abs(self.lower)
-        return float(s.max())
+        return float(band_inf_norm(self.diag, self.upper, self.lower))
+
+
+def band_inf_norm(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """||H||_inf of the tridiagonal H with these bands, or of each H of a stack of them."""
+    s = np.abs(diag)
+    s[..., :-1] += np.abs(upper)
+    s[..., 1:] += np.abs(lower)
+    return s.max(axis=-1)
 
 
 def real_gauge(diag: np.ndarray, upper: np.ndarray,
@@ -375,14 +374,8 @@ def random_spec(
     a, b, c = draw(), draw(), draw()
     if central is None:
         central = CentralBlock(0.0, 0.0, 0.0, 0.0)
-    return ChainSpec(
-        k=k,
-        a=a,
-        b=b,
-        c=c,
-        central=central,
-        meta={"family": "random", "seed": int(seed), "rng": "PCG64"},
-    )
+    return ChainSpec(k=k, a=a, b=b, c=c, central=central,
+                     meta={"family": "random", "seed": int(seed), "rng": "PCG64"})
 
 
 @dataclass(frozen=True)
@@ -413,13 +406,19 @@ def check_symmetry(m: TridiagonalMatrix) -> SymmetryReport:
     bond amplitudes must mirror individually for "exact_offcenter" or only
     as products H[j,j+1]*H[j+1,j] for "generalized_offcenter".  Entries
     agree within 1e-9 * ||H||_inf, products within 1e-9 * ||H||_inf^2, so
-    the verdict does not change under H -> cH.
+    the verdict does not change under H -> cH.  An odd L or a non-finite
+    entry raises ValueError.  ``eig``'s sector split uses another, exact
+    rule: each bond's (upper, lower) pair equals its mirror's or the
+    swapped pair, so a bond rescaled to (c u, l/c) is "generalized_offcenter"
+    here but splits nothing there.
     """
     L = m.L
     if L % 2 != 0:
         raise ValueError(f"symmetry check needs even L, got {L}")
     k = L // 2
     scale = m.inf_norm()
+    if not np.isfinite(scale):  # NaN compares False against any tolerance
+        raise ValueError("symmetry check needs finite entries")
     tol = _SYMMETRY_RTOL * scale
 
     # sites 1..k-1 against sites L..k+2, bonds 1..k-1 against bonds L-1..k+1

@@ -9,6 +9,10 @@ dynamics    survival-norm traces and minimum-norm scans over gamma
 sweep       distinct-count/certificate scan over any one family parameter
 preset-run  canned parameter sets that regenerate the reference datasets
 
+A chain is a --family with its parameter flags, or a --spec file, which
+is the whole chain: no family parameter, --gamma or grid may come with
+it.  Each subcommand accepts only the flags it reads.
+
 Every run prints a one-line JSON summary to stdout and writes its data
 files atomically (temp file + rename).  Exit status: 0 on success (a
 failed certification is data, not an error), 1 for invalid
@@ -72,7 +76,8 @@ class RunConfig:
     """One fully-specified CLI run.
 
     Exactly one input source is set: a family with parameters, a spec
-    file, or a preset name.
+    file, or a preset name.  A spec file is the whole chain, so no family
+    parameter, gamma or grid comes with it.
     """
 
     subcommand: str
@@ -101,6 +106,10 @@ class RunConfig:
                    self.preset_name is not None]
         if sum(sources) != 1:
             raise _CliError("exactly one of --family, --spec, or a preset is required")
+        if self.spec_path is not None and any(
+                v is not None for v in (self.gamma, self.grid, *self.params.values())):
+            raise _CliError("a --spec file is the whole chain: it takes no family "
+                            "parameter, --gamma or grid")
         if self.grid is not None and self.grid[2] < 1:
             raise _CliError("grid must have at least one point")
         if not all(0 < t < math.inf for t in (self.tol_distinct, self.tol_certify)):
@@ -225,14 +234,8 @@ def _run_spectrum(config: RunConfig) -> dict:
     # clusters numbered in canonical order of their means
     means = [complex(np.mean(eigs[g])) for g in groups]
     order = sorted(range(len(groups)), key=lambda i: (means[i].real, means[i].imag))
-    cluster_of = {}
-    for cid, gi in enumerate(order):
-        for idx in groups[gi]:
-            cluster_of[idx] = (cid, len(groups[gi]))
-    rows = [
-        (i, eigs[i].real, eigs[i].imag, cluster_of[i][0], cluster_of[i][1])
-        for i in range(len(eigs))
-    ]
+    cluster_of = {i: (cid, len(groups[gi])) for cid, gi in enumerate(order) for i in groups[gi]}
+    rows = [(i, z.real, z.imag, *cluster_of[i]) for i, z in enumerate(eigs)]
     out = config.out or "spectrum.csv"
     _write_csv(out, ("index", "re_lambda", "im_lambda", "cluster_id", "multiplicity"), rows)
     return {
@@ -272,9 +275,9 @@ def _run_verify(config: RunConfig) -> dict:
 
 
 def _run_nonortho(config: RunConfig) -> dict:
-    if (config.grid is None) == (config.gamma is None):
-        raise _CliError("nonortho needs exactly one of --gamma-grid or --gamma")
-    if config.gamma is not None:
+    if config.spec_path is None and (config.grid is None) == (config.gamma is None):
+        raise _CliError("nonortho --family needs exactly one of --gamma-grid or --gamma")
+    if config.grid is None:
         s = spectrum(chain.as_matrix(_single_target(config, config.gamma)))
         u = nonortho.overlap_matrix(s)
         rows = [(mu, nu, abs(u.entries[mu, nu])) for mu in range(u.L) for nu in range(u.L)]
@@ -289,13 +292,8 @@ def _run_nonortho(config: RunConfig) -> dict:
             "out": out,
         }
 
-    if config.spec_path is not None:
-        raise _CliError("gamma sweeps need --family (a spec file has no free gamma)")
-    values = np.linspace(*config.grid)
-    if len(values) < 2:
-        raise _CliError("--gamma-grid needs at least two points")
-    points = nonortho.sweep_nonortho(functools.partial(_single_target, config), values,
-                                     config.tol_distinct)
+    points = nonortho.sweep_nonortho(functools.partial(_single_target, config),
+                                     np.linspace(*config.grid), config.tol_distinct)
     rows = [astuple(point) for point in points]
     out = config.out or "nonortho.csv"
     _write_csv(out, ("gamma", "f1", "f2", "distinct_count"), rows)
@@ -312,8 +310,6 @@ def _run_nonortho(config: RunConfig) -> dict:
 def _run_dynamics(config: RunConfig) -> dict:
     if (config.grid is None) == (config.gamma is None):
         raise _CliError("dynamics needs exactly one of --gamma-grid or --gamma")
-    if config.spec_path is not None:
-        raise _CliError("dynamics sweeps gamma and therefore needs --family")
     if config.state not in _STATES:
         raise _CliError(f"--state must be one of {', '.join(_STATES)}")
     out = config.out or "dynamics.csv"
@@ -352,8 +348,6 @@ def _run_dynamics(config: RunConfig) -> dict:
 def _run_sweep(config: RunConfig) -> dict:
     if config.grid is None:
         raise _CliError("sweep needs --grid start:stop:points")
-    if config.spec_path is not None:
-        raise _CliError("sweep varies a family parameter and therefore needs --family")
     rows = []
     for v in np.linspace(*config.grid):
         target = _family_target(config.family, config.params, config.sweep_param, float(v))
@@ -494,16 +488,21 @@ def _run_preset(config: RunConfig) -> dict:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_SHARED = {
+    "--seed": dict(type=int, help="base RNG seed"),
+    "--tol-distinct": dict(type=float, help="clustering tolerance for distinct eigenvalues"),
+    "--tol-certify": dict(type=float, help="residual tolerance for certification"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """--out and --workers, plus the named flags of _SHARED (those some subcommands read)."""
     parser.add_argument("--out", help="output path (preset-run: output directory)")
-    parser.add_argument("--seed", type=int, help="base RNG seed")
     parser.add_argument("--workers", type=int,
                         help="accepted for compatibility: checked to be at least 1, "
                              "then ignored")
-    parser.add_argument("--tol-distinct", type=float,
-                        help="clustering tolerance for distinct eigenvalues")
-    parser.add_argument("--tol-certify", type=float,
-                        help="residual tolerance for certification")
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED[flag])
 
 
 def _add_family(parser: argparse.ArgumentParser, with_spec: bool = True) -> None:
@@ -511,7 +510,7 @@ def _add_family(parser: argparse.ArgumentParser, with_spec: bool = True) -> None
                         help="chain family to build")
     if with_spec:
         parser.add_argument("--spec", dest="spec_path",
-                            help="chain spec JSON file (alternative to --family)")
+                            help="chain spec JSON file, the whole chain (instead of --family)")
     parser.add_argument("--L", type=int, help="chain length")
     parser.add_argument("--alpha", type=float, help="on-site loss at site k")
     parser.add_argument("--gamma", type=float, help="on-site loss at site k+1")
@@ -537,8 +536,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise argparse.ArgumentTypeError("grid endpoints must be finite")
-    if n < 1:
-        raise argparse.ArgumentTypeError("grid needs at least one point")
     return (start, stop, n)
 
 
@@ -550,19 +547,19 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("spectrum", help="eigenvalues of one chain as CSV")
     _add_family(sp)
-    _add_common(sp)
+    _add_common(sp, "--tol-distinct")
 
     vp = sub.add_parser("verify", help="coalescence certificate as JSON")
     _add_family(vp)
     vp.add_argument("--order", type=int, choices=(2, 4, 8),
                     help="additionally check order-fold cluster structure")
-    _add_common(vp)
+    _add_common(vp, "--tol-distinct", "--tol-certify")
 
     np_ = sub.add_parser("nonortho", help="non-orthogonality sweep or heatmap")
     _add_family(np_)
     np_.add_argument("--gamma-grid", type=_parse_grid, dest="grid",
                      help="start:stop:points sweep over gamma")
-    _add_common(np_)
+    _add_common(np_, "--tol-distinct")
 
     dp = sub.add_parser("dynamics", help="survival-norm traces and minima")
     _add_family(dp, with_spec=False)
@@ -581,13 +578,13 @@ def _build_parser() -> _Parser:
     wp.add_argument("--sweep-param", help="family parameter to sweep (default gamma)")
     wp.add_argument("--grid", type=_parse_grid, required=True,
                     help="start:stop:points")
-    _add_common(wp)
+    _add_common(wp, "--tol-distinct", "--tol-certify")
 
     pp = sub.add_parser("preset-run", help="regenerate a reference dataset")
     pp.add_argument("--name", dest="preset_name", required=True, choices=_PRESETS)
     pp.add_argument("--small", action="store_true",
                     help="reduced sizes for fast CI (fig8: L=24/26)")
-    _add_common(pp)
+    _add_common(pp, *_SHARED)
 
     return parser
 

@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, TridiagonalMatrix, as_matrix, band_matrices, real_gauge
+from .chain import (ChainSpec, TridiagonalMatrix, as_matrix, band_inf_norm, band_matrices,
+                    real_gauge)
 from .eig import Spectrum, spectrum
 
 __all__ = [
@@ -171,10 +172,11 @@ def initial_state(
     raise ValueError(f"unknown initial-state kind: {kind!r}")
 
 
-def _is_absorbing(m: TridiagonalMatrix) -> bool:
-    """Hermitian hopping plus only non-positive on-site imaginary parts."""
-    tol = 1e-12 * m.inf_norm()
-    return bool(np.all(np.abs(m.upper - np.conj(m.lower)) <= tol) and np.all(m.diag.imag <= tol))
+def _is_absorbing(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Per chain of these bands (one chain or a stack): Hermitian hopping plus
+    only non-positive on-site imaginary parts, both to 1e-12 ||H||_inf."""
+    tol = 1e-12 * band_inf_norm(diag, upper, lower)[..., None]
+    return (np.abs(upper - np.conj(lower)) <= tol).all(axis=-1) & (diag.imag <= tol).all(axis=-1)
 
 
 def _rk4(H: np.ndarray, h: float, x: np.ndarray, c: complex = -1j) -> np.ndarray:
@@ -257,9 +259,9 @@ def _propagate(
     """
     steps, rem = _step_count(t, dt, "t")
     n0 = np.linalg.norm(psi, axis=-1)
-    absorbing = np.array([_is_absorbing(m) for m in mats])
-    A, c, g = _gauge(np.stack([m.diag for m in mats]), np.stack([m.upper for m in mats]),
-                     np.stack([m.lower for m in mats]))
+    bands = [np.stack([getattr(m, b) for m in mats]) for b in ("diag", "upper", "lower")]
+    absorbing = _is_absorbing(*bands)
+    A, c, g = _gauge(*bands)
     x = _to_gauge(psi, g, np.isrealobj(A))
     power = _rk4(A, dt, np.eye(psi.shape[-1]), c)  # ||power||_2 = ||P||_2, D is unitary
     bound = np.full(len(mats), np.inf)  # >= ||power||_2 per chain
@@ -326,7 +328,7 @@ def norm_trace(
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
         raise ValueError("initial state must have unit norm")
     steps, rem = _step_count(t_max, dt, "t_max")
-    absorbing = _is_absorbing(m)
+    absorbing = _is_absorbing(m.diag, m.upper, m.lower)
     tail = rem > 0
     times = dt * np.arange(steps + 1 + tail, dtype=float)
     if tail:

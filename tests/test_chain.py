@@ -236,6 +236,18 @@ def test_check_symmetry_ignores_central_entries():
     assert check_symmetry(build(spec)).status == "generalized_offcenter"
 
 
+@pytest.mark.parametrize("band, j, value", [
+    ("diag", 0, np.nan), ("upper", 0, np.nan), ("diag", 0, np.inf),
+])
+def test_check_symmetry_rejects_non_finite_entries(band, j, value):
+    # NaN compares False against any tolerance, and inf makes the tolerance inf
+    m = build(legacy(10, 0, 2))
+    bands = {"diag": m.diag.copy(), "upper": m.upper.copy(), "lower": m.lower.copy()}
+    bands[band][j] = value
+    with pytest.raises(ValueError, match="finite"):
+        check_symmetry(TridiagonalMatrix(**bands))
+
+
 def test_spec_json_round_trip_is_canonical():
     spec = random_spec(5, seed=12, central=CentralBlock(-1.2, 1.0, 1.1, 1.1))
     text = spec_to_json(spec)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from pcspectra import cli
-from pcspectra.chain import CentralBlock, pc_delta, random_spec, spec_to_json
+from pcspectra.chain import CentralBlock, build, pc_delta, random_spec, spec_to_json
+from pcspectra.eig import spectrum
+from pcspectra.nonortho import overlap_matrix
 
 
 def run_cli(capsys, argv):
@@ -122,6 +124,80 @@ def test_invalid_usage_exits_one(tmp_path, capsys):
     assert not (tmp_path / "w.csv").exists()
 
 
+# one valid run per chain subcommand, before --out
+VALID = {
+    "spectrum": ["spectrum", "--family", "legacy", "--L", "6", "--alpha", "0", "--gamma", "2"],
+    "verify": ["verify", "--family", "legacy", "--L", "6", "--alpha", "0", "--gamma", "2"],
+    "nonortho": ["nonortho", "--family", "b", "--L", "10", "--J1", "1.5", "--J2", "1",
+                 "--alpha", "0", "--gamma", "3"],
+    "dynamics": ["dynamics", "--family", "legacy", "--L", "6", "--alpha", "0", "--gamma", "1",
+                 "--t-final", "1"],
+    "sweep": ["sweep", "--family", "legacy", "--L", "6", "--alpha", "0", "--grid", "1.5:2.5:3"],
+}
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    *((sub, "--seed") for sub in ("spectrum", "verify", "nonortho", "dynamics", "sweep")),
+    *((sub, "--tol-certify") for sub in ("spectrum", "nonortho", "dynamics")),
+    ("dynamics", "--tol-distinct"),
+])
+def test_flag_the_subcommand_does_not_read_exits_one(tmp_path, capsys, subcommand, flag):
+    out = tmp_path / "out"
+    argv = VALID[subcommand] + ["--out", str(out)]
+    assert cli.main(argv + [flag, "1"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(argv) == 0  # the same run without the flag is valid
+
+
+@pytest.fixture
+def spec_file(tmp_path):
+    delta = pc_delta(-1.2, 1.0)
+    spec = random_spec(5, seed=3, central=CentralBlock(-1.2, 1.0, delta, delta))
+    path = tmp_path / "chain.json"
+    path.write_text(spec_to_json(spec))
+    return spec, path
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    *((sub, param) for sub in ("spectrum", "verify", "nonortho") for param in cli._PARAMS),
+    ("nonortho", "gamma-grid"),
+])
+def test_spec_with_a_chain_flag_exits_one(tmp_path, capsys, spec_file, subcommand, flag):
+    out = tmp_path / "out"
+    value = "1:2:3" if flag == "gamma-grid" else "4"
+    argv = [subcommand, "--spec", str(spec_file[1]), "--out", str(out)]
+    assert cli.main(argv + ["--" + flag, value]) == 1
+    assert "whole chain" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, extra", [
+    ("nonortho", dict(gamma=3.0)),
+    ("nonortho", dict(grid=(1.0, 2.0, 3))),
+    ("dynamics", dict(gamma=3.0)),
+    ("dynamics", dict(grid=(1.0, 2.0, 3))),
+    ("sweep", dict(grid=(1.0, 2.0, 3))),
+    ("spectrum", dict(params={"L": 10})),
+])
+def test_spec_rule_holds_for_configs_built_in_python(spec_file, subcommand, extra):
+    with pytest.raises(cli._CliError, match="whole chain"):
+        cli.RunConfig(subcommand, spec_path=str(spec_file[1]), **extra)
+
+
+def test_nonortho_spec_draws_the_file_chain_heatmap(tmp_path, capsys, spec_file):
+    spec, path = spec_file
+    out = tmp_path / "u.csv"
+    code, summary = run_cli(capsys, ["nonortho", "--spec", str(path), "--out", str(out)])
+    assert code == 0
+    assert summary["gamma"] is None and summary["L"] == spec.L
+    header, rows = read_csv(out)
+    assert header == ["mu", "nu", "abs_U"]
+    u = overlap_matrix(spectrum(build(spec))).entries
+    assert [(int(mu), int(nu)) for mu, nu, _ in rows] == list(np.ndindex(u.shape))
+    assert [float(r[2]) for r in rows] == [abs(z) for z in u.ravel()]
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # a grossly unstable step on a Hermitian chain trips the growth guard
     code = cli.main([
@@ -178,12 +254,8 @@ def test_verify_emits_certificate(tmp_path, capsys):
     assert on_disk["mode"] == "symbolic"
 
 
-def test_verify_reads_spec_file(tmp_path, capsys):
-    delta = pc_delta(-1.2, 1.0)
-    spec = random_spec(5, seed=3, central=CentralBlock(-1.2, 1.0, delta, delta))
-    path = tmp_path / "chain.json"
-    path.write_text(spec_to_json(spec))
-    code, summary = run_cli(capsys, ["verify", "--spec", str(path)])
+def test_verify_reads_spec_file(capsys, spec_file):
+    code, summary = run_cli(capsys, ["verify", "--spec", str(spec_file[1])])
     assert code == 0
     assert summary["certified"] is True
     assert summary["mode"] == "symbolic"

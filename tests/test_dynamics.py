@@ -19,6 +19,7 @@ from pcspectra.chain import (
 )
 from pcspectra.dynamics import (
     _gauge,
+    _is_absorbing,
     _rk4,
     approx_norm,
     evolve,
@@ -151,6 +152,35 @@ def test_hermitian_evolution_is_unitary():
     m = hermitian_chain(rng, 9)
     out = evolve(m, gaussian_packet(9, 4.0, 2.0, 0.3), 3.0)
     assert abs(out.norm() - 1.0) < 1e-8
+
+
+def test_absorbing_test_on_a_stack_matches_each_chain():
+    # random stacks mixing absorbing chains, gaining chains, non-Hermitian
+    # hopping, and departures just inside and just outside 1e-12 ||H||_inf
+    rng = np.random.default_rng(17)
+    for L in (1, 2, 7, 20):
+        mats = []
+        for _ in range(24):
+            lower = rng.normal(size=L - 1) + 1j * rng.normal(size=L - 1)
+            upper = np.conj(lower)
+            diag = rng.normal(size=L) - 1j * np.abs(rng.normal(size=L))
+            m = TridiagonalMatrix(diag, upper, lower)
+            eps = rng.choice([0.5, 2.0]) * 1e-12 * m.inf_norm()
+            kind = rng.integers(4)
+            j = rng.integers(L)
+            if kind == 1:  # rounding-level gain at one site
+                diag[j] = diag[j].real + 1j * eps
+            elif kind == 2 and L > 1:  # rounding-level non-Hermitian hopping
+                upper[j % (L - 1)] += eps
+            elif kind == 3:  # gain
+                diag[j] = diag[j].real + 1j * rng.uniform(0.1, 1.0)
+            mats.append(TridiagonalMatrix(diag, upper, lower))
+        want = [bool(np.all(np.abs(m.upper - np.conj(m.lower)) <= 1e-12 * m.inf_norm())
+                     and np.all(m.diag.imag <= 1e-12 * m.inf_norm())) for m in mats]
+        stack = [np.stack([getattr(m, b) for m in mats]) for b in ("diag", "upper", "lower")]
+        assert _is_absorbing(*stack).tolist() == want
+        assert [bool(_is_absorbing(m.diag, m.upper, m.lower)) for m in mats] == want
+        assert 0 < sum(want) < len(want)
 
 
 def test_absorbing_chain_norm_never_grows():

@@ -14,6 +14,7 @@ from pcspectra.chain import (
     TridiagonalMatrix,
     as_matrix,
     build,
+    check_symmetry,
     family_a,
     family_b,
     family_c,
@@ -233,6 +234,19 @@ def test_sector_union_matches_lapack(k, seed, s, at_ep):
     assert multiset_distance(eigs, np.linalg.eigvals(m.to_dense())) <= EIG_MATCH_REL * m.inf_norm()
     if at_ep:
         assert np.array_equal(eigs[0::2], eigs[1::2])
+
+
+def test_rescaled_bond_is_generalized_mirror_but_not_split():
+    # check_symmetry judges hopping products; the sector split wants each bond's
+    # pair equal to its mirror's pair or swapped.  Pinned so that a change to
+    # either rule shows here.
+    m = build(legacy(10, 0, 2))
+    upper, lower = m.upper.copy(), m.lower.copy()
+    upper[0] *= 2
+    lower[0] /= 2
+    bent = TridiagonalMatrix(m.diag, upper, lower)
+    assert check_symmetry(bent).status == "generalized_offcenter"
+    assert _halves(m) is not None and _halves(bent) is None
 
 
 @pytest.mark.parametrize("gamma", [3.0, 3.0 + 1e-6])
